@@ -10,8 +10,8 @@
 // dropped and recounted as a miss rather than served, so bit rot degrades to
 // a rebuild, never to a wrong answer.
 //
-// Thread-safe; the serving scheduler is the main writer but the stats probe
-// reads counters from the I/O thread.
+// Thread-safe: the serving scheduler inserts and probes, the I/O thread
+// probes for inline hits and reads counters for the stats probe.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +49,14 @@ class ArtifactCache {
   // most-recently-used, or nullopt on miss. A hit whose bytes no longer hash
   // to the stored digest is evicted, counted in verify_failures, and
   // reported as a miss.
-  std::optional<std::string> lookup(std::uint64_t key);
+  //
+  // On a hit, a non-null `digest` receives the digest the bytes were just
+  // verified against, so the caller need not hash them again. With
+  // count_miss false a miss is left out of the miss tally: the daemon's
+  // inline probe passes it, because a request it misses is probed (and
+  // counted) once more by the scheduler.
+  std::optional<std::string> lookup(std::uint64_t key, std::uint64_t* digest = nullptr,
+                                    bool count_miss = true);
 
   // Inserts (or refreshes) an entry, evicting LRU entries until the budget
   // holds. An artifact alone larger than the whole budget is not cached.

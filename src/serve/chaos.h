@@ -17,10 +17,10 @@
 // Keys (0 disables each fault; all default 0):
 //   seed                   — byte/mask selection seed
 //   crash-after=N          — _Exit(137) immediately before writing the N-th
-//                            scheduled response (crash-before-reply): the
+//                            response (crash-before-reply): the
 //                            work was done, the client never hears — the
 //                            SIGKILL shape the durable tier must absorb
-//   stall-every=K          — every K-th scheduled response sleeps stall-ms
+//   stall-every=K          — every K-th response sleeps stall-ms
 //   stall-ms=M             — the stall duration (needs stall-every)
 //   corrupt-response-every=K — every K-th OK response has one artifact byte
 //                            XOR-flipped *after* the digest was computed, so
@@ -67,19 +67,21 @@ std::optional<ServeFaultPlan> serve_fault_plan_from_env();
 
 // The compiled, counting form the server holds: each should_* call advances
 // the matching ordinal, so injection is a pure function of the plan and the
-// sequence of calls. Thread-safe via per-counter atomics (the scheduler
-// thread is the caller; the stats probe reads the tallies).
+// sequence of calls. A "response" is the answer to an admitted request,
+// scheduled or an inline hit; stats probes and typed rejections do not
+// count. Thread-safe via one mutex: the scheduler and the I/O thread both
+// call it, and the stats probe reads the tallies.
 class ServeFaultInjector {
  public:
   explicit ServeFaultInjector(const ServeFaultPlan& plan) : plan_(plan) {}
 
   const ServeFaultPlan& plan() const { return plan_; }
 
-  // True exactly once: when the crash-after-th scheduled response is about
+  // True exactly once: when the crash-after-th response is about
   // to be delivered. The caller is expected to _Exit and never return.
   bool should_crash_before_reply();
 
-  // Milliseconds to stall this scheduled response (0 = none).
+  // Milliseconds to stall this response (0 = none).
   std::uint64_t stall_for_response();
 
   // If this OK response must be corrupted, picks the byte index in
@@ -97,7 +99,7 @@ class ServeFaultInjector {
 
  private:
   ServeFaultPlan plan_;
-  std::uint64_t responses_ = 0;  // scheduled responses seen (crash/stall ordinal)
+  std::uint64_t responses_ = 0;  // responses seen (crash/stall ordinal)
   std::uint64_t ok_responses_ = 0;
   std::uint64_t disk_writes_ = 0;
   std::uint64_t stalls_injected_ = 0;

@@ -208,11 +208,16 @@ void ServeServer::process_batch(std::vector<PendingRequest>& batch) {
   std::vector<std::string> errors(count);
   std::vector<StatusCode> error_codes(count, StatusCode::kOk);
   std::vector<CacheSource> sources(count, CacheSource::kCold);
+  std::vector<std::uint64_t> digests(count);
 
   std::vector<std::size_t> miss_indices;
   std::vector<std::uint64_t> miss_keys;
   for (std::size_t i = 0; i < count; ++i) {
-    if (auto hit = cache_.lookup(batch[i].key)) {
+    // Re-probe the memory tier: an identical key may have completed since
+    // the request was queued (or it was queued behind an earlier request on
+    // its connection without an inline probe). This is the probe that
+    // counts a miss.
+    if (auto hit = cache_.lookup(batch[i].key, &digests[i])) {
       artifacts[i] = std::move(*hit);
       sources[i] = CacheSource::kHit;
       continue;
@@ -278,35 +283,44 @@ void ServeServer::process_batch(std::vector<PendingRequest>& batch) {
   }
 
   for (std::size_t i = 0; i < count; ++i) {
-    std::string frame;
-    if (error_codes[i] == StatusCode::kOk) {
-      responses_ok_.fetch_add(1, std::memory_order_relaxed);
-      frame = encode_ok_frame(batch[i].request.type, sources[i], fnv1a(artifacts[i]),
-                              artifacts[i]);
-      // Chaos: flip one byte of the on-wire artifact *after* the digest was
-      // computed — clients must catch this by digest verification, and the
-      // cached/stored copies stay pristine.
-      std::size_t byte_index = 0;
-      unsigned char mask = 0;
-      if (chaos_.corrupt_response(artifacts[i].size(), byte_index, mask)) {
-        frame[kFrameHeaderBytes + 16 + byte_index] =
-            static_cast<char>(static_cast<unsigned char>(frame[kFrameHeaderBytes + 16 + byte_index]) ^ mask);
-      }
-    } else {
-      compute_failed_.fetch_add(1, std::memory_order_relaxed);
-      frame = encode_error_frame(batch[i].request.type, error_codes[i], errors[i]);
-    }
-    if (chaos_.should_crash_before_reply()) {
-      // Crash-before-reply: the work is done (and durable, if a store is
-      // configured) but the client never hears. _Exit skips every
-      // destructor and flush — the closest in-process stand-in for SIGKILL.
-      std::_Exit(137);
-    }
-    if (const std::uint64_t stall = chaos_.stall_for_response()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(stall));
-    }
-    push_response(batch[i].conn_id, std::move(frame));
+    const bool ok = error_codes[i] == StatusCode::kOk;
+    if (ok && sources[i] != CacheSource::kHit) digests[i] = fnv1a(artifacts[i]);
+    push_response(batch[i].conn_id,
+                  finish_response(batch[i].request.type, error_codes[i], sources[i], digests[i],
+                                  ok ? artifacts[i] : errors[i]));
   }
+}
+
+std::string ServeServer::finish_response(RequestType type, StatusCode status,
+                                         CacheSource source, std::uint64_t digest,
+                                         std::string_view body) {
+  std::string frame;
+  if (status == StatusCode::kOk) {
+    responses_ok_.fetch_add(1, std::memory_order_relaxed);
+    frame = encode_ok_frame(type, source, digest, body);
+    // Chaos: flip one byte of the on-wire artifact *after* the digest was
+    // computed — clients must catch this by digest verification, and the
+    // cached/stored copies stay pristine.
+    std::size_t byte_index = 0;
+    unsigned char mask = 0;
+    if (chaos_.corrupt_response(body.size(), byte_index, mask)) {
+      frame[kFrameHeaderBytes + 16 + byte_index] =
+          static_cast<char>(static_cast<unsigned char>(frame[kFrameHeaderBytes + 16 + byte_index]) ^ mask);
+    }
+  } else {
+    compute_failed_.fetch_add(1, std::memory_order_relaxed);
+    frame = encode_error_frame(type, status, body);
+  }
+  if (chaos_.should_crash_before_reply()) {
+    // Crash-before-reply: the work is done (and durable, if a store is
+    // configured) but the client never hears. _Exit skips every
+    // destructor and flush — the closest in-process stand-in for SIGKILL.
+    std::_Exit(137);
+  }
+  if (const std::uint64_t stall = chaos_.stall_for_response()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(stall));
+  }
+  return frame;
 }
 
 void ServeServer::push_response(std::uint64_t conn_id, std::string frame) {
@@ -328,6 +342,7 @@ void ServeServer::drain_completions() {
     const auto it = conns_.find(response.conn_id);
     if (it == conns_.end()) continue;  // client went away; drop the bytes
     it->second.outbuf += response.frame;
+    --it->second.pending;
   }
 }
 
@@ -359,15 +374,30 @@ void ServeServer::handle_frame(std::uint64_t conn_id, Connection& conn,
     return;
   }
 
+  const std::uint64_t key = request_cache_key(request);
+  if (conn.pending == 0) {
+    // Nothing earlier on this connection is still outstanding, so a
+    // memory-tier hit can be answered now without reordering responses. A
+    // miss is left uncounted here: the scheduler probes it again and counts
+    // it there.
+    std::uint64_t digest = 0;
+    if (const auto hit = cache_.lookup(key, &digest, /*count_miss=*/false)) {
+      requests_admitted_.fetch_add(1, std::memory_order_relaxed);
+      conn.outbuf += finish_response(type, StatusCode::kOk, CacheSource::kHit, digest, *hit);
+      return;
+    }
+  }
+
   bool admitted = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (queue_.size() < config_.queue_capacity) {
-      queue_.push_back(PendingRequest{conn_id, request, request_cache_key(request)});
+      queue_.push_back(PendingRequest{conn_id, request, key});
       admitted = true;
     }
   }
   if (admitted) {
+    ++conn.pending;
     requests_admitted_.fetch_add(1, std::memory_order_relaxed);
     cv_.notify_one();
   } else {

@@ -6,21 +6,33 @@
 //   ─────────────────             ────────────────
 //   poll() accept/read/write      waits on the admission queue
 //   parse frames                  drains it in FIFO batches
-//   admit -> bounded queue   ->   cache lookup (digest re-verified)
-//   overload -> QueueFull frame   misses coalesced by content key and
-//   stats probe served inline       fanned out through BatchRunner
+//   memory-tier hit served inline cache lookup (digest re-verified)
+//   else admit -> bounded queue -> misses coalesced by content key and
+//   overload -> QueueFull frame     fanned out through BatchRunner
+//   stats probe served inline
 //   drain: stop accepting    <-   responses via completion queue + wake pipe
 //
-// The admission queue is the backpressure boundary: when it is full the I/O
-// thread answers with a typed QueueFull frame immediately — the connection
-// stays open, the client decides whether to retry. Draining (SIGINT/SIGTERM
-// via the drain flag, or begin_drain()) stops accepting connections, rejects
-// new requests with Draining frames, finishes everything already admitted,
-// flushes every response, and returns final stats; the CLI exits 0.
+// A request whose artifact is already in the memory tier never waits for
+// compute: the I/O thread answers it on the spot, provided its connection
+// has no earlier request still outstanding at the scheduler. Everything
+// else — misses, disk-tier hits, and hits queued behind an outstanding
+// request on the same connection — goes through the scheduler, so responses
+// on one connection come back in request order (the wire carries no
+// request ids, so that order is the only way a client can pair them).
 //
-// Responses on one connection are delivered in request order; the stats
-// probe is the one out-of-band exception (served inline by the I/O thread so
-// health checks work even when the queue is saturated).
+// The admission queue is the backpressure boundary for scheduled work: when
+// it is full the I/O thread answers with a typed QueueFull frame immediately
+// — the connection stays open, the client decides whether to retry. Inline
+// hits never enter the queue, so they are served even when it is full.
+// Draining (SIGINT/SIGTERM via the drain flag, or begin_drain()) stops
+// accepting connections, rejects new requests (hits included) with Draining
+// frames, finishes everything already admitted, flushes every response, and
+// returns final stats; the CLI exits 0.
+//
+// Typed rejections (QueueFull, Draining, protocol errors) and the stats
+// probe are written at once, ahead of any outstanding response on their
+// connection: they are the out-of-band exceptions to request order (the
+// probe is inline so health checks work even when the queue is saturated).
 #pragma once
 
 #include <atomic>
@@ -78,7 +90,7 @@ struct ServeConfig {
 struct ServeStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_rejected = 0;  // over max_connections
-  std::uint64_t requests_admitted = 0;
+  std::uint64_t requests_admitted = 0;     // inline hits + scheduled requests
   std::uint64_t responses_ok = 0;
   std::uint64_t compute_failed = 0;
   std::uint64_t queue_full = 0;
@@ -132,6 +144,7 @@ class ServeServer {
     std::string outbuf;
     std::size_t outpos = 0;
     std::size_t discard = 0;  // oversized payload bytes still to skip
+    std::size_t pending = 0;  // admitted to the scheduler, response not yet in outbuf
     bool close_after_flush = false;
   };
 
@@ -148,6 +161,12 @@ class ServeServer {
 
   void scheduler_main();
   void process_batch(std::vector<PendingRequest>& batch);
+  // The one way a response frame is built, on either thread: encodes it,
+  // counts it, and applies the chaos tail (corrupt / crash / stall), so
+  // fault ordinals count every response. `body` is the artifact of an OK
+  // response (hashing to `digest`) or the message of an error one.
+  std::string finish_response(RequestType type, StatusCode status, CacheSource source,
+                              std::uint64_t digest, std::string_view body);
   void handle_frame(std::uint64_t conn_id, Connection& conn, const FrameHeader& header,
                     std::string_view payload);
   void parse_inbuf(std::uint64_t conn_id, Connection& conn);
@@ -181,8 +200,9 @@ class ServeServer {
   std::atomic<std::size_t> in_flight_{0};
   std::thread scheduler_;
 
-  // Stats counters: written by their owning thread, read via render_stats()
-  // from the I/O thread — each is an independent atomic tally.
+  // Stats counters: written by the I/O thread, the scheduler, or both
+  // (responses_ok_, compute_failed_), read via render_stats() from the I/O
+  // thread — each is an independent atomic tally.
   std::atomic<std::uint64_t> connections_accepted_{0}, connections_rejected_{0},
       requests_admitted_{0}, responses_ok_{0}, compute_failed_{0}, queue_full_{0},
       too_large_{0}, protocol_violations_{0}, draining_rejected_{0}, stats_probes_{0},

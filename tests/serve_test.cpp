@@ -23,6 +23,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <typeinfo>
@@ -110,16 +111,22 @@ std::uint64_t ring_word(std::uint32_t n) {
 }
 
 // A released-once latch for ServeConfig::test_hold: the first scheduler pass
-// blocks until release(); later passes fall straight through.
+// blocks until release(); later passes fall straight through. A hold built
+// disarmed lets passes through until arm(), so a test can warm the cache
+// first.
 struct SchedulerHold {
   std::mutex m;
   std::condition_variable cv;
+  bool armed = true;
   bool holding = false;
   bool released = false;
+
+  explicit SchedulerHold(bool armed_at_start = true) : armed(armed_at_start) {}
 
   std::function<void()> hook() {
     return [this] {
       std::unique_lock<std::mutex> lock(m);
+      if (!armed) return;
       holding = true;
       cv.notify_all();
       cv.wait(lock, [this] { return released; });
@@ -129,11 +136,23 @@ struct SchedulerHold {
     std::unique_lock<std::mutex> lock(m);
     cv.wait(lock, [this] { return holding; });
   }
+  void arm() {
+    std::lock_guard<std::mutex> lock(m);
+    armed = true;
+  }
   void release() {
     std::lock_guard<std::mutex> lock(m);
     released = true;
     cv.notify_all();
   }
+};
+
+// Releases a hold when the test body exits. Declared after the RunningServer,
+// it runs first, so a failed test drains instead of hanging on a parked
+// scheduler.
+struct ReleaseOnExit {
+  SchedulerHold& hold;
+  ~ReleaseOnExit() { hold.release(); }
 };
 
 // Binds, runs the I/O loop on a background thread, drains on destruction.
@@ -162,6 +181,23 @@ class RunningServer {
   std::thread thread_;
   ServeStats stats_;
 };
+
+// Polls the stats probe on a connection of its own until the daemon reports
+// at least `count` requests admitted — proof that every frame a test sent
+// has been read, without a timing threshold.
+void wait_until_admitted(RunningServer& running, std::uint64_t count) {
+  ServeClient prober = running.connect();
+  Request probe;
+  probe.type = RequestType::kStats;
+  const std::string field = "requests admitted = ";
+  for (;;) {
+    const Response stats = prober.request(probe);
+    const std::size_t at = stats.artifact.find(field);
+    if (at == std::string::npos) throw std::runtime_error("stats probe lacks " + field);
+    if (std::stoull(stats.artifact.substr(at + field.size())) >= count) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
 // ---- wire codec ------------------------------------------------------------
 
@@ -341,6 +377,22 @@ TEST(ArtifactCache, HitVerifiesDigestAndDropsCorruptEntries) {
   EXPECT_EQ(stats.entries, 0u);
   cache.insert(7, "pristine artifact bytes");
   EXPECT_TRUE(cache.lookup(7).has_value());
+}
+
+TEST(ArtifactCache, HitReportsItsVerifiedDigestAndMissCountingIsOptional) {
+  ArtifactCache cache(0);
+  cache.insert(1, "artifact bytes");
+  std::uint64_t digest = 0;
+  const auto hit = cache.lookup(1, &digest);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(digest, fnv1a(*hit));
+
+  // An uncounted miss leaves the tally alone; a counted one bumps it.
+  EXPECT_FALSE(cache.lookup(2, &digest, /*count_miss=*/false).has_value());
+  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_FALSE(cache.lookup(2).has_value());
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST(ArtifactCache, BudgetResolutionPrecedence) {
@@ -732,6 +784,9 @@ TEST(ServeServer, ConcurrentIdenticalRequestsCoalesceIntoOneBuild) {
   client.send_frame(request);
   hold.wait_until_held();
   for (int i = 0; i < 4; ++i) client.send_frame(request);
+  // All four follow-ups must be queued before the scheduler drains, or a
+  // late one lands in a second batch as a plain hit.
+  wait_until_admitted(running, 5);
   hold.release();
 
   std::vector<Response> responses;
@@ -748,6 +803,111 @@ TEST(ServeServer, ConcurrentIdenticalRequestsCoalesceIntoOneBuild) {
   const ServeStats stats = running.stop();
   EXPECT_EQ(stats.coalesced, 4u);
   EXPECT_EQ(stats.cache.entries, 1u);
+}
+
+TEST(ServeServer, WarmHitIsAnsweredWhileTheSchedulerIsParkedOnAColdBuild) {
+  SchedulerHold hold(/*armed_at_start=*/false);
+  ServeConfig config;
+  config.test_hold = hold.hook();
+  RunningServer running(std::move(config));
+  ReleaseOnExit unhold{hold};
+  ServeClient a = running.connect();
+  ServeClient b = running.connect();
+
+  const Request warm = rank_request('M', 5);
+  const Response first = b.request(warm);
+  ASSERT_EQ(first.source, CacheSource::kCold);
+
+  // Park the scheduler on a cold build from connection A; a hit on B must
+  // not wait for it.
+  hold.arm();
+  a.send_frame(rank_request('M', 6));
+  hold.wait_until_held();
+  b.send_frame(warm);
+  // A hang guard, not a latency bound: a hit stuck behind the held build
+  // would only be answered after release(), which this thread has not yet
+  // reached.
+  const Response hit = b.read_response(/*deadline_ms=*/30000);
+  ASSERT_EQ(hit.status, StatusCode::kOk);
+  EXPECT_EQ(hit.source, CacheSource::kHit);
+  EXPECT_EQ(hit.artifact, first.artifact);
+  EXPECT_EQ(hit.digest, first.digest);
+
+  hold.release();
+  const Response cold = a.read_response();
+  ASSERT_EQ(cold.status, StatusCode::kOk);
+  EXPECT_EQ(cold.source, CacheSource::kCold);
+  EXPECT_NE(cold.artifact.find("rank M_6"), std::string::npos);
+
+  // Every request's probe is counted once: the inline probe that missed on
+  // M_6 left the miss to the scheduler.
+  const ServeStats stats = running.stop();
+  EXPECT_EQ(stats.requests_admitted, 3u);
+  EXPECT_EQ(stats.responses_ok, 3u);
+  EXPECT_EQ(stats.cache.hits, 1u);
+  EXPECT_EQ(stats.cache.misses, 2u);
+}
+
+TEST(ServeServer, ColdThenWarmOnOneConnectionAnswerInRequestOrder) {
+  SchedulerHold hold(/*armed_at_start=*/false);
+  ServeConfig config;
+  config.test_hold = hold.hook();
+  RunningServer running(std::move(config));
+  ServeClient client = running.connect();
+
+  const Request warm = rank_request('M', 5);
+  ASSERT_EQ(client.request(warm).source, CacheSource::kCold);
+
+  hold.arm();
+  client.send_frame(rank_request('M', 6));
+  hold.wait_until_held();
+  client.send_frame(warm);
+  // The warm request has been read while the cold one is still held: it
+  // must queue behind it rather than overtake it.
+  wait_until_admitted(running, 3);
+  hold.release();
+
+  const Response cold = client.read_response();
+  const Response hit = client.read_response();
+  ASSERT_EQ(cold.status, StatusCode::kOk);
+  ASSERT_EQ(hit.status, StatusCode::kOk);
+  EXPECT_NE(cold.artifact.find("rank M_6"), std::string::npos);
+  EXPECT_EQ(cold.source, CacheSource::kCold);
+  EXPECT_NE(hit.artifact.find("rank M_5"), std::string::npos);
+  EXPECT_EQ(hit.source, CacheSource::kHit);
+
+  const ServeStats stats = running.stop();
+  EXPECT_EQ(stats.cache.hits, 1u);
+  EXPECT_EQ(stats.cache.misses, 2u);
+}
+
+TEST(ServeServer, WarmHitWhileDrainingIsRefused) {
+  SchedulerHold hold(/*armed_at_start=*/false);
+  ServeConfig config;
+  config.test_hold = hold.hook();
+  RunningServer running(std::move(config));
+  ServeClient a = running.connect();
+  ServeClient b = running.connect();
+
+  const Request warm = rank_request('M', 5);
+  ASSERT_EQ(b.request(warm).source, CacheSource::kCold);
+
+  // Keep the daemon alive in drain with a held cold build on A.
+  hold.arm();
+  a.send_frame(rank_request('M', 6));
+  hold.wait_until_held();
+  running.server().begin_drain();
+  b.send_frame(warm);
+  const Response refused = b.read_response();
+  EXPECT_EQ(refused.status, StatusCode::kDraining);
+
+  hold.release();
+  EXPECT_EQ(a.read_response().status, StatusCode::kOk);
+
+  const ServeStats stats = running.stop();
+  EXPECT_EQ(stats.draining_rejected, 1u);
+  EXPECT_EQ(stats.responses_ok, 2u);
+  EXPECT_EQ(stats.cache.hits, 0u);
 }
 
 TEST(ServeServer, OversizedFrameIsSkippedWithoutDroppingTheConnection) {
@@ -984,7 +1144,7 @@ TEST(ServeClient, RetryBudgetExhaustionThrowsTheLastError) {
 TEST(ServeServer, ChaosCorruptedResponseIsCaughtByDigestNotByCache) {
   ServeConfig config;
   config.faults.seed = 7;
-  config.faults.corrupt_response_every = 1;  // every scheduled OK response
+  config.faults.corrupt_response_every = 1;  // every OK response, inline hits too
   RunningServer running(std::move(config));
   ServeClient client = running.connect();
   const Request request = rank_request('M', 5);
