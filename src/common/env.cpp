@@ -20,19 +20,19 @@ std::optional<std::uint64_t> parse_env_u64(std::string_view text) {
 }
 
 std::optional<std::uint64_t> parse_mem_bytes(const char* text) {
-  if (text == nullptr || text[0] < '0' || text[0] > '9') return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || errno == ERANGE) return std::nullopt;
+  if (text == nullptr) return std::nullopt;
+  std::string_view digits(text);
   std::uint64_t multiplier = 1;
-  if (*end == 'K' || *end == 'M' || *end == 'G') {
-    multiplier = *end == 'K' ? (1ULL << 10) : *end == 'M' ? (1ULL << 20) : (1ULL << 30);
-    ++end;
+  if (!digits.empty()) {
+    const char suffix = digits.back();
+    if (suffix == 'K' || suffix == 'M' || suffix == 'G') {
+      multiplier = suffix == 'K' ? (1ULL << 10) : suffix == 'M' ? (1ULL << 20) : (1ULL << 30);
+      digits.remove_suffix(1);
+    }
   }
-  if (*end != '\0') return std::nullopt;
-  if (multiplier != 1 && value > UINT64_MAX / multiplier) return std::nullopt;
-  return static_cast<std::uint64_t>(value) * multiplier;
+  const auto value = parse_env_u64(digits);
+  if (!value || *value > UINT64_MAX / multiplier) return std::nullopt;
+  return *value * multiplier;
 }
 
 std::optional<std::uint64_t> env_u64(const char* name) {

@@ -86,7 +86,7 @@ struct BackendPolicy {
 };
 
 struct BackendCounters {
-  std::uint64_t routed = 0;        // data-path attempts sent (incl. hedges)
+  std::uint64_t routed = 0;        // data-path attempts sent
   std::uint64_t ok = 0;            // data-path answers (any decoded status)
   std::uint64_t failures = 0;      // transport failures/timeouts/bad digests
   std::uint64_t probes_ok = 0;

@@ -1,18 +1,12 @@
 #include "serve/router.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <thread>
 
 #include "bcc/checkpoint.h"
@@ -22,10 +16,6 @@
 namespace bcclb {
 
 namespace {
-
-std::string errno_text(const char* what) {
-  return std::string(what) + ": " + std::strerror(errno);
-}
 
 ServeClient dial(const BackendEndpoint& endpoint) {
   return endpoint.unix_path.empty() ? ServeClient::connect_tcp(endpoint.tcp_port)
@@ -58,12 +48,6 @@ struct RouterServer::ConnCtx {
   // Cached data-path connection per backend id; dropped on any transport
   // failure so the next attempt redials a possibly-restarted daemon.
   std::vector<std::unique_ptr<ServeClient>> clients;
-  // Abandoned hedge losers — still blocked on a slow shard when the other
-  // attempt won. Joined when the connection closes (their round trips are
-  // bounded by attempt_deadline_ms, so the join is too).
-  std::vector<std::thread> strays;
-  // Per-connection counter feeding the seeded hedge-delay jitter.
-  std::uint64_t hedge_tick = 0;
 };
 
 RouterServer::RouterServer(RouterConfig config)
@@ -74,64 +58,11 @@ RouterServer::RouterServer(RouterConfig config)
   }
 }
 
-RouterServer::~RouterServer() {
-  pool_.stop_probing();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (owns_unix_path_) ::unlink(config_.unix_path.c_str());
-}
+RouterServer::~RouterServer() { pool_.stop_probing(); }
 
 void RouterServer::bind() {
-  if (listen_fd_ >= 0) throw ServeError("route: already bound");
-  if (!config_.unix_path.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (config_.unix_path.size() >= sizeof addr.sun_path) {
-      throw ServeError("route: unix socket path longer than " +
-                       std::to_string(sizeof addr.sun_path - 1) + " bytes");
-    }
-    std::strncpy(addr.sun_path, config_.unix_path.c_str(), sizeof addr.sun_path - 1);
-
-    // Same stale-socket discipline as bccd: a live listener means another
-    // instance owns the path; a dead file from a crash is swept aside.
-    const int probe = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (probe >= 0) {
-      const bool live =
-          ::connect(probe, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0;
-      ::close(probe);
-      if (live) {
-        throw ServeError("route: '" + config_.unix_path + "' is already being served");
-      }
-    }
-    ::unlink(config_.unix_path.c_str());
-
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) throw ServeError(errno_text("route: socket"));
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-      throw ServeError(errno_text(("route: bind '" + config_.unix_path + "'").c_str()));
-    }
-    owns_unix_path_ = true;
-  } else {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) throw ServeError(errno_text("route: socket"));
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(config_.tcp_port);
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-      throw ServeError(errno_text("route: bind 127.0.0.1"));
-    }
-    socklen_t len = sizeof addr;
-    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-    resolved_port_ = ntohs(addr.sin_port);
-  }
-  if (::listen(listen_fd_, 128) != 0) throw ServeError(errno_text("route: listen"));
-}
-
-std::string RouterServer::endpoint() const {
-  if (!config_.unix_path.empty()) return "unix:" + config_.unix_path;
-  return "tcp:127.0.0.1:" + std::to_string(resolved_port_);
+  if (listener_.is_open()) throw ServeError("route: already bound");
+  listener_ = Listener("route", config_.unix_path, config_.tcp_port);
 }
 
 void RouterServer::begin_drain() { drain_requested_.store(true, std::memory_order_relaxed); }
@@ -157,8 +88,6 @@ std::string RouterServer::render_stats() const {
   line("responses ok", responses_ok_.load(std::memory_order_relaxed));
   line("responses error", responses_error_.load(std::memory_order_relaxed));
   line("failovers", failovers_.load(std::memory_order_relaxed));
-  line("hedges launched", hedges_launched_.load(std::memory_order_relaxed));
-  line("hedges won", hedges_won_.load(std::memory_order_relaxed));
   line("digest rejected", digest_rejected_.load(std::memory_order_relaxed));
   line("no backend", no_backend_.load(std::memory_order_relaxed));
   line("stats probes", stats_probes_.load(std::memory_order_relaxed));
@@ -184,19 +113,11 @@ std::string RouterServer::render_stats() const {
 
 std::optional<RouterServer::RouteResult> RouterServer::attempt_backend(const Request& request,
                                                                        std::size_t id,
-                                                                       ConnCtx* ctx) {
+                                                                       ConnCtx& ctx) {
   pool_.count_routed(id);
+  std::unique_ptr<ServeClient>& client = ctx.clients[id];
   try {
-    std::optional<ServeClient> fresh;
-    ServeClient* client = nullptr;
-    if (ctx != nullptr) {
-      std::unique_ptr<ServeClient>& slot = ctx->clients[id];
-      if (slot == nullptr) slot = std::make_unique<ServeClient>(dial(pool_.endpoint(id)));
-      client = slot.get();
-    } else {
-      fresh.emplace(dial(pool_.endpoint(id)));
-      client = &*fresh;
-    }
+    if (client == nullptr) client = std::make_unique<ServeClient>(dial(pool_.endpoint(id)));
     ClientRetryPolicy policy;
     policy.max_retries = 0;  // retries across shards are route()'s job
     policy.deadline_ms = config_.attempt_deadline_ms;
@@ -209,7 +130,7 @@ std::optional<RouterServer::RouteResult> RouterServer::attempt_backend(const Req
         // failing and let failover fetch the byte-identical answer elsewhere.
         digest_rejected_.fetch_add(1, std::memory_order_relaxed);
         pool_.record_failure(id, steady_now_ns());
-        if (ctx != nullptr) ctx->clients[id].reset();
+        client.reset();
         return std::nullopt;
       }
       pool_.record_success(id);
@@ -225,117 +146,19 @@ std::optional<RouterServer::RouteResult> RouterServer::attempt_backend(const Req
     // Dial refused, timeout, EOF mid-frame, undecodable response: the shard
     // is unreachable or unwell. Feed the circuit breaker and fail over.
     pool_.record_failure(id, steady_now_ns());
-    if (ctx != nullptr) ctx->clients[id].reset();
+    client.reset();
     return std::nullopt;
   }
-}
-
-std::pair<std::optional<RouterServer::RouteResult>, std::size_t> RouterServer::attempt_hedged(
-    const Request& request, std::uint64_t key, std::size_t primary_id, std::size_t backup_id,
-    ConnCtx& ctx) {
-  struct Shared {
-    std::mutex m;
-    std::condition_variable cv;
-    bool primary_done = false;
-    bool backup_done = false;
-    std::optional<RouteResult> primary;
-    std::optional<RouteResult> backup;
-  };
-  auto shared = std::make_shared<Shared>();
-  // `request` is copied into each thread: a stray loser can outlive the
-  // conn_main frame that decoded it.
-  std::thread primary([this, request, primary_id, shared] {
-    std::optional<RouteResult> r = attempt_backend(request, primary_id, nullptr);
-    std::lock_guard<std::mutex> lock(shared->m);
-    shared->primary = std::move(r);
-    shared->primary_done = true;
-    shared->cv.notify_all();
-  });
-
-  // Jitter the hedge trigger into [3/4, 5/4] of the delay, seeded by
-  // (seed, key, tick) — deterministic per router, decorrelated across keys.
-  const std::uint64_t base_ns = config_.hedge_delay_ms * 1'000'000ULL;
-  const std::uint64_t jitter =
-      rendezvous_score(config_.health.seed ^ key, ctx.hedge_tick++) % (base_ns / 2 + 1);
-  const std::uint64_t delay_ns = base_ns - base_ns / 4 + jitter;
-
-  std::unique_lock<std::mutex> lock(shared->m);
-  shared->cv.wait_for(lock, std::chrono::nanoseconds(delay_ns),
-                      [&] { return shared->primary_done; });
-  if (shared->primary_done) {
-    // The primary answered (or failed) inside the hedge window — no hedge.
-    std::optional<RouteResult> r = std::move(shared->primary);
-    lock.unlock();
-    primary.join();
-    return {std::move(r), 1};
-  }
-
-  hedges_launched_.fetch_add(1, std::memory_order_relaxed);
-  lock.unlock();
-  std::thread backup([this, request, backup_id, shared] {
-    std::optional<RouteResult> r = attempt_backend(request, backup_id, nullptr);
-    std::lock_guard<std::mutex> lock(shared->m);
-    shared->backup = std::move(r);
-    shared->backup_done = true;
-    shared->cv.notify_all();
-  });
-
-  lock.lock();
-  shared->cv.wait(lock, [&] {
-    return (shared->primary_done && shared->primary.has_value()) ||
-           (shared->backup_done && shared->backup.has_value()) ||
-           (shared->primary_done && shared->backup_done);
-  });
-  const bool primary_done = shared->primary_done;
-  const bool backup_done = shared->backup_done;
-  std::optional<RouteResult> winner;
-  bool backup_won = false;
-  if (primary_done && shared->primary.has_value()) {
-    winner = std::move(shared->primary);
-  } else if (backup_done && shared->backup.has_value()) {
-    winner = std::move(shared->backup);
-    backup_won = true;
-  }
-  lock.unlock();
-
-  const auto reap = [&](std::thread& t, bool done) {
-    if (done) {
-      t.join();
-    } else {
-      ctx.strays.push_back(std::move(t));
-    }
-  };
-  reap(primary, primary_done);
-  reap(backup, backup_done);
-
-  if (backup_won) hedges_won_.fetch_add(1, std::memory_order_relaxed);
-  if (winner.has_value()) return {std::move(winner), 2};
-  return {std::nullopt, 2};
 }
 
 RouterServer::RouteResult RouterServer::route(const Request& request, std::uint64_t key,
                                               ConnCtx& ctx) {
   requests_routed_.fetch_add(1, std::memory_order_relaxed);
-  const std::vector<std::size_t> order = pool_.rank(key);
-  std::vector<std::size_t> live;
-  live.reserve(order.size());
-  for (const std::size_t id : order) {
-    if (pool_.admits(id)) live.push_back(id);
-  }
-
   bool any_failed = false;
-  std::size_t i = 0;
-  while (i < live.size()) {
+  for (const std::size_t id : pool_.rank(key)) {
+    if (!pool_.admits(id)) continue;
     if (any_failed) failovers_.fetch_add(1, std::memory_order_relaxed);
-    std::optional<RouteResult> result;
-    if (i == 0 && config_.hedge_delay_ms > 0 && live.size() > 1) {
-      auto [winner, consumed] = attempt_hedged(request, key, live[0], live[1], ctx);
-      result = std::move(winner);
-      i += consumed;
-    } else {
-      result = attempt_backend(request, live[i], &ctx);
-      ++i;
-    }
+    std::optional<RouteResult> result = attempt_backend(request, id, ctx);
     if (!result.has_value()) {
       any_failed = true;
       continue;
@@ -362,8 +185,7 @@ RouterServer::RouteResult RouterServer::route(const Request& request, std::uint6
 void RouterServer::conn_main(int fd) {
   ConnCtx ctx;
   ctx.clients.resize(pool_.size());
-  std::string inbuf;
-  std::size_t discard = 0;
+  FrameReader reader(config_.max_request_bytes);
   std::uint64_t drain_close_ns = 0;
   bool open = true;
   char buf[4096];
@@ -392,46 +214,22 @@ void RouterServer::conn_main(int fd) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       break;
     }
-    inbuf.append(buf, static_cast<std::size_t>(r));
+    reader.append(std::string_view(buf, static_cast<std::size_t>(r)));
 
     while (open) {
-      if (discard > 0) {
-        const std::size_t n = std::min(discard, inbuf.size());
-        inbuf.erase(0, n);
-        discard -= n;
-        if (discard > 0) break;  // oversized payload still arriving
-      }
-      if (inbuf.size() < kFrameHeaderBytes) break;
-      FrameHeader header;
-      try {
-        header = decode_frame_header(std::string_view(inbuf).substr(0, kFrameHeaderBytes));
-      } catch (const ProtocolViolationError& e) {
-        // Bad magic or version: framing is unrecoverable on this stream.
-        protocol_violations_.fetch_add(1, std::memory_order_relaxed);
-        send_to_client(fd, encode_error_frame(RequestType::kStats,
-                                              StatusCode::kProtocolViolation, e.what()));
-        open = false;
-        break;
-      }
-      const RequestType type = static_cast<RequestType>(header.type);
-      if (header.payload_len > config_.max_request_bytes) {
-        too_large_.fetch_add(1, std::memory_order_relaxed);
-        if (!send_to_client(
-                fd, encode_error_frame(type, StatusCode::kRequestTooLarge,
-                                       "request payload exceeds " +
-                                           std::to_string(config_.max_request_bytes) +
-                                           " bytes"))) {
-          open = false;
-          break;
+      const FrameReader::Next next = reader.next();
+      if (next.kind == FrameReader::Next::Kind::kNeedMore) break;
+      if (next.kind == FrameReader::Next::Kind::kReject) {
+        if (next.status == StatusCode::kRequestTooLarge) {
+          too_large_.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          protocol_violations_.fetch_add(1, std::memory_order_relaxed);
         }
-        inbuf.erase(0, kFrameHeaderBytes);
-        discard = header.payload_len;  // skip it; framing survives
+        open = send_to_client(fd, next.reply) && !next.close_after;
         continue;
       }
-      if (inbuf.size() < kFrameHeaderBytes + header.payload_len) break;
-      const std::string payload = inbuf.substr(kFrameHeaderBytes, header.payload_len);
-      inbuf.erase(0, kFrameHeaderBytes + header.payload_len);
 
+      const RequestType type = static_cast<RequestType>(next.header.type);
       std::string reply;
       if (type == RequestType::kStats) {
         stats_probes_.fetch_add(1, std::memory_order_relaxed);
@@ -443,7 +241,7 @@ void RouterServer::conn_main(int fd) {
                                    "router is draining; request not admitted");
       } else {
         try {
-          const Request request = decode_request(header.type, payload);
+          const Request request = decode_request(next.header.type, next.payload);
           reply = route(request, request_cache_key(request), ctx).frame;
         } catch (const ProtocolViolationError& e) {
           protocol_violations_.fetch_add(1, std::memory_order_relaxed);
@@ -454,13 +252,12 @@ void RouterServer::conn_main(int fd) {
     }
   }
 
-  for (std::thread& stray : ctx.strays) stray.join();
   ::close(fd);
   active_connections_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 RouterStats RouterServer::run() {
-  if (listen_fd_ < 0) throw ServeError("route: run() before bind()");
+  if (!listener_.is_open()) throw ServeError("route: run() before bind()");
   pool_.start_probing();
 
   struct ConnThread {
@@ -482,16 +279,16 @@ RouterStats RouterServer::run() {
 
   while (!drain_now()) {
     reap_finished();
-    pollfd pfd{listen_fd_, POLLIN, 0};
+    pollfd pfd{listener_.fd(), POLLIN, 0};
     const int rc = ::poll(&pfd, 1, 100);
     if (rc < 0) {
       if (errno == EINTR) continue;
       pool_.stop_probing();
-      throw ServeError(errno_text("route: poll"));
+      throw ServeError(std::string("route: poll: ") + std::strerror(errno));
     }
     if (rc == 0) continue;
     for (;;) {
-      const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+      const int fd = ::accept4(listener_.fd(), nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) break;
       if (active_connections_.load(std::memory_order_relaxed) >= config_.max_connections) {
         connections_rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -510,12 +307,7 @@ RouterStats RouterServer::run() {
   }
 
   drain_requested_.store(true, std::memory_order_relaxed);
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  if (owns_unix_path_) {
-    ::unlink(config_.unix_path.c_str());
-    owns_unix_path_ = false;
-  }
+  listener_.close();
   for (ConnThread& conn : conns) conn.thread.join();
   pool_.stop_probing();
 
@@ -526,8 +318,6 @@ RouterStats RouterServer::run() {
   stats.responses_ok = responses_ok_.load(std::memory_order_relaxed);
   stats.responses_error = responses_error_.load(std::memory_order_relaxed);
   stats.failovers = failovers_.load(std::memory_order_relaxed);
-  stats.hedges_launched = hedges_launched_.load(std::memory_order_relaxed);
-  stats.hedges_won = hedges_won_.load(std::memory_order_relaxed);
   stats.digest_rejected = digest_rejected_.load(std::memory_order_relaxed);
   stats.no_backend = no_backend_.load(std::memory_order_relaxed);
   stats.stats_probes = stats_probes_.load(std::memory_order_relaxed);

@@ -24,11 +24,10 @@
 // request — re-sending to another shard can only produce the byte-identical
 // artifact (the digest check enforces exactly that).
 //
-// Optional hedging (hedge_delay_ms > 0): when the primary shard has not
-// answered within the (seeded-jittered) hedge delay, the same request is
-// fired at the next-ranked live shard on a fresh connection; the first
-// digest-valid answer wins and the loser is abandoned (its thread is joined
-// at connection close). Idempotency makes the duplicate execution harmless.
+// The front side is bccd's: the same Listener (endpoint, stale-socket
+// reclaim) and the same FrameReader (oversized payloads skipped, bad magic
+// answered once then closed), so a client cannot tell the two apart by how
+// malformed bytes are handled.
 //
 // Threading: unlike bccd's poll loop, the router is thread-per-connection —
 // each connection blocks on its own backend round trips, so one slow shard
@@ -43,10 +42,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "serve/backend_pool.h"
+#include "serve/listener.h"
 #include "serve/wire.h"
 
 namespace bcclb {
@@ -58,7 +57,7 @@ struct RouterConfig {
   std::uint16_t tcp_port = 0;
   // The shard fleet. Must be non-empty.
   std::vector<BackendEndpoint> backends;
-  // Circuit breaker + active probe knobs (shared seed also jitters hedges).
+  // Circuit breaker + active probe knobs.
   BackendPolicy health;
   std::size_t max_connections = 256;
   // Request payload cap, mirroring the backends' own limit.
@@ -66,8 +65,6 @@ struct RouterConfig {
   // Per-backend-attempt round-trip budget. Must be > 0: an unbounded wait on
   // a wedged shard would defeat failover.
   std::uint64_t attempt_deadline_ms = 10000;
-  // 0 disables hedging; otherwise the tail-latency trigger described above.
-  std::uint64_t hedge_delay_ms = 0;
   // Polled by the accept loop; non-zero triggers drain (CLI signal flag).
   const volatile std::sig_atomic_t* drain_flag = nullptr;
 };
@@ -79,8 +76,6 @@ struct RouterStats {
   std::uint64_t responses_ok = 0;          // OK relayed to clients
   std::uint64_t responses_error = 0;       // non-OK relayed (incl. NoBackend)
   std::uint64_t failovers = 0;             // attempts sent past the first candidate
-  std::uint64_t hedges_launched = 0;
-  std::uint64_t hedges_won = 0;            // hedge answered before the primary
   std::uint64_t digest_rejected = 0;       // OK answers dropped: digest mismatch
   std::uint64_t no_backend = 0;            // requests that exhausted every shard
   std::uint64_t stats_probes = 0;
@@ -98,8 +93,8 @@ class RouterServer {
   RouterServer(const RouterServer&) = delete;
   RouterServer& operator=(const RouterServer&) = delete;
 
-  // Creates, binds and listens on the front endpoint (stale-unix-socket
-  // probe and TCP port readback exactly like ServeServer). Throws ServeError.
+  // Creates, binds and listens on the front endpoint (a Listener, as in
+  // ServeServer). Throws ServeError.
   void bind();
 
   // Routes until drained; returns final stats (including per-backend circuit
@@ -109,8 +104,8 @@ class RouterServer {
   // Thread-safe drain trigger, equivalent to the signal path.
   void begin_drain();
 
-  std::uint16_t tcp_port() const { return resolved_port_; }
-  std::string endpoint() const;
+  std::uint16_t tcp_port() const { return listener_.tcp_port(); }
+  std::string endpoint() const { return listener_.endpoint(); }
 
   // The stats/health artifact (what a kStats request to the router returns):
   // router counters plus one line per backend with its circuit state.
@@ -123,38 +118,30 @@ class RouterServer {
     std::string frame;  // the response frame to relay
     bool ok = false;    // frame carries StatusCode::kOk
   };
-  // Per-connection routing state (cached backend connections, stray hedge
-  // threads) — defined in router.cpp.
+  // Per-connection routing state (cached backend connections) — defined in
+  // router.cpp.
   struct ConnCtx;
 
   void conn_main(int fd);
   RouteResult route(const Request& request, std::uint64_t key, ConnCtx& ctx);
-  // One attempt against shard `id`. ctx != nullptr uses the connection cache;
-  // nullptr dials fresh (hedge threads must not share cached connections).
+  // One attempt against shard `id` over the connection's cached client.
   // nullopt = transport failure / timeout / bad digest (already recorded).
   std::optional<RouteResult> attempt_backend(const Request& request, std::size_t id,
-                                             ConnCtx* ctx);
-  // The hedged first attempt: primary in a thread, backup fired after the
-  // jittered hedge delay. Returns {winner, candidates consumed (1 or 2)}.
-  std::pair<std::optional<RouteResult>, std::size_t> attempt_hedged(
-      const Request& request, std::uint64_t key, std::size_t primary_id, std::size_t backup_id,
-      ConnCtx& ctx);
+                                             ConnCtx& ctx);
   bool drain_now() const;
 
   RouterConfig config_;
   BackendPool pool_;
 
-  int listen_fd_ = -1;
-  std::uint16_t resolved_port_ = 0;
-  bool owns_unix_path_ = false;
+  Listener listener_;
 
   std::atomic<bool> drain_requested_{false};
   std::atomic<std::size_t> active_connections_{0};
 
   std::atomic<std::uint64_t> connections_accepted_{0}, connections_rejected_{0},
       requests_routed_{0}, responses_ok_{0}, responses_error_{0}, failovers_{0},
-      hedges_launched_{0}, hedges_won_{0}, digest_rejected_{0}, no_backend_{0},
-      stats_probes_{0}, protocol_violations_{0}, too_large_{0}, draining_rejected_{0};
+      digest_rejected_{0}, no_backend_{0}, stats_probes_{0}, protocol_violations_{0},
+      too_large_{0}, draining_rejected_{0};
 };
 
 }  // namespace bcclb

@@ -1,11 +1,8 @@
 #include "serve/server.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -21,14 +18,6 @@
 
 namespace bcclb {
 
-namespace {
-
-std::string errno_text(const char* what) {
-  return std::string(what) + ": " + std::strerror(errno);
-}
-
-}  // namespace
-
 ServeServer::ServeServer(ServeConfig config)
     : config_(std::move(config)),
       runner_(config_.threads),
@@ -38,72 +27,20 @@ ServeServer::ServeServer(ServeConfig config)
 }
 
 ServeServer::~ServeServer() {
-  if (listen_fd_ >= 0) ::close(listen_fd_);
   if (wake_r_ >= 0) ::close(wake_r_);
   if (wake_w_ >= 0) ::close(wake_w_);
   for (auto& [id, conn] : conns_) ::close(conn.fd);
-  if (owns_unix_path_) ::unlink(config_.unix_path.c_str());
 }
 
 void ServeServer::bind() {
-  if (listen_fd_ >= 0) throw ServeError("serve: already bound");
+  if (listener_.is_open()) throw ServeError("serve: already bound");
   int pipefd[2];
   if (::pipe2(pipefd, O_NONBLOCK | O_CLOEXEC) != 0) {
-    throw ServeError(errno_text("serve: pipe2"));
+    throw ServeError(std::string("serve: pipe2: ") + std::strerror(errno));
   }
   wake_r_ = pipefd[0];
   wake_w_ = pipefd[1];
-
-  if (!config_.unix_path.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (config_.unix_path.size() >= sizeof addr.sun_path) {
-      throw ServeError("serve: unix socket path longer than " +
-                       std::to_string(sizeof addr.sun_path - 1) + " bytes");
-    }
-    std::strncpy(addr.sun_path, config_.unix_path.c_str(), sizeof addr.sun_path - 1);
-
-    // A stale socket file from a crashed daemon blocks bind(); a live one
-    // means another instance is serving. Probe: if anyone accepts, refuse.
-    const int probe = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (probe >= 0) {
-      const bool live =
-          ::connect(probe, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0;
-      ::close(probe);
-      if (live) {
-        throw ServeError("serve: '" + config_.unix_path + "' is already being served");
-      }
-    }
-    ::unlink(config_.unix_path.c_str());
-
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) throw ServeError(errno_text("serve: socket"));
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-      throw ServeError(errno_text(("serve: bind '" + config_.unix_path + "'").c_str()));
-    }
-    owns_unix_path_ = true;
-  } else {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) throw ServeError(errno_text("serve: socket"));
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(config_.tcp_port);
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-      throw ServeError(errno_text("serve: bind 127.0.0.1"));
-    }
-    socklen_t len = sizeof addr;
-    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-    resolved_port_ = ntohs(addr.sin_port);
-  }
-  if (::listen(listen_fd_, 128) != 0) throw ServeError(errno_text("serve: listen"));
-}
-
-std::string ServeServer::endpoint() const {
-  if (!config_.unix_path.empty()) return "unix:" + config_.unix_path;
-  return "tcp:127.0.0.1:" + std::to_string(resolved_port_);
+  listener_ = Listener("serve", config_.unix_path, config_.tcp_port);
 }
 
 void ServeServer::begin_drain() { drain_requested_.store(true, std::memory_order_relaxed); }
@@ -115,10 +52,7 @@ void ServeServer::enter_drain() {
     draining_ = true;
   }
   cv_.notify_all();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  listener_.close();
 }
 
 std::string ServeServer::render_stats() const {
@@ -410,52 +344,34 @@ void ServeServer::handle_frame(std::uint64_t conn_id, Connection& conn,
   }
 }
 
-void ServeServer::parse_inbuf(std::uint64_t conn_id, Connection& conn) {
+void ServeServer::handle_frames(std::uint64_t conn_id, Connection& conn) {
   for (;;) {
-    if (conn.discard > 0) {
-      const std::size_t take = std::min(conn.discard, conn.inbuf.size());
-      conn.inbuf.erase(0, take);
-      conn.discard -= take;
-      if (conn.discard > 0) return;
+    FrameReader::Next next = conn.reader.next();
+    switch (next.kind) {
+      case FrameReader::Next::Kind::kNeedMore:
+        return;
+      case FrameReader::Next::Kind::kFrame:
+        handle_frame(conn_id, conn, next.header, next.payload);
+        break;
+      case FrameReader::Next::Kind::kReject:
+        if (next.status == StatusCode::kRequestTooLarge) {
+          too_large_.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          protocol_violations_.fetch_add(1, std::memory_order_relaxed);
+        }
+        conn.outbuf += next.reply;
+        if (next.close_after) {
+          conn.close_after_flush = true;
+          return;
+        }
+        break;
     }
-    if (conn.inbuf.size() < kFrameHeaderBytes) return;
-    FrameHeader header;
-    try {
-      header = decode_frame_header(conn.inbuf);
-    } catch (const ProtocolViolationError& e) {
-      // Bad magic or version: the stream cannot be re-synchronized. Answer
-      // once, then close after the flush.
-      protocol_violations_.fetch_add(1, std::memory_order_relaxed);
-      conn.outbuf += encode_error_frame(static_cast<RequestType>(0),
-                                        StatusCode::kProtocolViolation, e.what());
-      conn.close_after_flush = true;
-      conn.inbuf.clear();
-      return;
-    }
-    if (header.payload_len > config_.max_request_bytes) {
-      // Framing is intact — skip exactly payload_len bytes and keep serving
-      // the connection.
-      too_large_.fetch_add(1, std::memory_order_relaxed);
-      conn.outbuf += encode_error_frame(
-          static_cast<RequestType>(header.type), StatusCode::kRequestTooLarge,
-          "request payload of " + std::to_string(header.payload_len) +
-              " bytes exceeds the " + std::to_string(config_.max_request_bytes) +
-              "-byte cap");
-      conn.inbuf.erase(0, kFrameHeaderBytes);
-      conn.discard = header.payload_len;
-      continue;
-    }
-    if (conn.inbuf.size() < kFrameHeaderBytes + header.payload_len) return;
-    const std::string_view payload =
-        std::string_view(conn.inbuf).substr(kFrameHeaderBytes, header.payload_len);
-    handle_frame(conn_id, conn, header, payload);
-    conn.inbuf.erase(0, kFrameHeaderBytes + header.payload_len);
   }
 }
 
 void ServeServer::accept_ready() {
   for (;;) {
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    const int fd = ::accept4(listener_.fd(), nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;
     if (conns_.size() >= config_.max_connections) {
       connections_rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -463,9 +379,7 @@ void ServeServer::accept_ready() {
       continue;
     }
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    Connection conn;
-    conn.fd = fd;
-    conns_.emplace(next_conn_id_++, std::move(conn));
+    conns_.try_emplace(next_conn_id_++, fd, config_.max_request_bytes);
   }
 }
 
@@ -477,7 +391,7 @@ void ServeServer::close_connection(std::uint64_t conn_id) {
 }
 
 ServeStats ServeServer::run() {
-  if (listen_fd_ < 0 && !drain_requested_.load(std::memory_order_relaxed)) {
+  if (!listener_.is_open() && !drain_requested_.load(std::memory_order_relaxed)) {
     throw ServeError("serve: run() before bind()");
   }
   scheduler_ = std::thread(&ServeServer::scheduler_main, this);
@@ -495,7 +409,7 @@ ServeStats ServeServer::run() {
 
     fds.clear();
     ids.clear();
-    if (listen_fd_ >= 0) fds.push_back(pollfd{listen_fd_, POLLIN, 0});
+    if (listener_.is_open()) fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
     const std::size_t listen_slots = fds.size();
     fds.push_back(pollfd{wake_r_, POLLIN, 0});
     for (const auto& [id, conn] : conns_) {
@@ -531,13 +445,13 @@ ServeStats ServeServer::run() {
         for (;;) {
           const ssize_t r = ::recv(conn.fd, buf, sizeof buf, 0);
           if (r > 0) {
-            conn.inbuf.append(buf, static_cast<std::size_t>(r));
+            conn.reader.append(std::string_view(buf, static_cast<std::size_t>(r)));
             continue;
           }
           if (r == 0) closed = true;
           break;  // r < 0: EAGAIN (done) or a real error surfaced at write
         }
-        parse_inbuf(ids[c], conn);
+        handle_frames(ids[c], conn);
         if (closed && conn.outpos >= conn.outbuf.size()) {
           to_close.push_back(ids[c]);
           continue;
@@ -597,10 +511,6 @@ ServeStats ServeServer::run() {
   drain_completions();  // scheduler is gone; anything left has no reader
   for (auto& [id, conn] : conns_) ::close(conn.fd);
   conns_.clear();
-  if (owns_unix_path_) {
-    ::unlink(config_.unix_path.c_str());
-    owns_unix_path_ = false;
-  }
 
   ServeStats stats;
   stats.connections_accepted = connections_accepted_.load(std::memory_order_relaxed);

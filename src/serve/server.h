@@ -33,6 +33,10 @@
 // probe are written at once, ahead of any outstanding response on their
 // connection: they are the out-of-band exceptions to request order (the
 // probe is inline so health checks work even when the queue is saturated).
+//
+// The endpoint is a Listener and each connection's input a FrameReader, the
+// same two pieces bccr (router.h) uses, so both daemons bind, reclaim stale
+// socket files and resync malformed streams identically.
 #pragma once
 
 #include <atomic>
@@ -52,6 +56,7 @@
 #include "serve/artifact_cache.h"
 #include "serve/chaos.h"
 #include "serve/disk_store.h"
+#include "serve/listener.h"
 #include "serve/wire.h"
 
 namespace bcclb {
@@ -125,10 +130,10 @@ class ServeServer {
   void begin_drain();
 
   // Resolved TCP port (after bind(); meaningful in TCP mode).
-  std::uint16_t tcp_port() const { return resolved_port_; }
+  std::uint16_t tcp_port() const { return listener_.tcp_port(); }
 
   // Human-readable endpoint, for logs.
-  std::string endpoint() const;
+  std::string endpoint() const { return listener_.endpoint(); }
 
   // The stats/health artifact (also what a kStats request returns).
   std::string render_stats() const;
@@ -139,11 +144,11 @@ class ServeServer {
 
  private:
   struct Connection {
+    Connection(int fd, std::size_t max_request_bytes) : fd(fd), reader(max_request_bytes) {}
     int fd = -1;
-    std::string inbuf;
+    FrameReader reader;
     std::string outbuf;
     std::size_t outpos = 0;
-    std::size_t discard = 0;  // oversized payload bytes still to skip
     std::size_t pending = 0;  // admitted to the scheduler, response not yet in outbuf
     bool close_after_flush = false;
   };
@@ -169,7 +174,7 @@ class ServeServer {
                               std::uint64_t digest, std::string_view body);
   void handle_frame(std::uint64_t conn_id, Connection& conn, const FrameHeader& header,
                     std::string_view payload);
-  void parse_inbuf(std::uint64_t conn_id, Connection& conn);
+  void handle_frames(std::uint64_t conn_id, Connection& conn);
   void push_response(std::uint64_t conn_id, std::string frame);
   void drain_completions();
   void accept_ready();
@@ -182,10 +187,8 @@ class ServeServer {
   std::unique_ptr<DiskStore> disk_;  // tier 2; null when store_dir is empty
   ServeFaultInjector chaos_;
 
-  int listen_fd_ = -1;
+  Listener listener_;
   int wake_r_ = -1, wake_w_ = -1;
-  std::uint16_t resolved_port_ = 0;
-  bool owns_unix_path_ = false;
 
   std::uint64_t next_conn_id_ = 1;
   std::unordered_map<std::uint64_t, Connection> conns_;

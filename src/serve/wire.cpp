@@ -1,5 +1,6 @@
 #include "serve/wire.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "bcc/checkpoint.h"
@@ -193,6 +194,58 @@ FrameHeader decode_frame_header(std::string_view bytes) {
                                  std::to_string(kWireVersion) + ")");
   }
   return header;
+}
+
+void FrameReader::append(std::string_view bytes) {
+  if (!failed_) buf_.append(bytes);
+}
+
+FrameReader::Next FrameReader::next() {
+  Next out;
+  if (failed_) return out;
+  const std::size_t skip = std::min(discard_, buf_.size() - pos_);
+  pos_ += skip;
+  discard_ -= skip;
+  const std::string_view rest = std::string_view(buf_).substr(pos_);
+  if (discard_ == 0 && rest.size() >= kFrameHeaderBytes) {
+    try {
+      out.header = decode_frame_header(rest);
+    } catch (const ProtocolViolationError& e) {
+      // Bad magic or version: no later byte can be trusted as a frame
+      // boundary. Answer once; the caller closes after the flush.
+      failed_ = true;
+      buf_.clear();
+      pos_ = 0;
+      out.kind = Next::Kind::kReject;
+      out.status = StatusCode::kProtocolViolation;
+      out.reply = encode_error_frame(static_cast<RequestType>(0), out.status, e.what());
+      out.close_after = true;
+      return out;
+    }
+    if (out.header.payload_len > max_payload_bytes_) {
+      // Framing is intact: skip exactly payload_len bytes and go on.
+      pos_ += kFrameHeaderBytes;
+      discard_ = out.header.payload_len;
+      out.kind = Next::Kind::kReject;
+      out.status = StatusCode::kRequestTooLarge;
+      out.reply = encode_error_frame(
+          static_cast<RequestType>(out.header.type), out.status,
+          "request payload of " + std::to_string(out.header.payload_len) +
+              " bytes exceeds the " + std::to_string(max_payload_bytes_) + "-byte cap");
+      return out;
+    }
+    if (rest.size() - kFrameHeaderBytes >= out.header.payload_len) {
+      out.kind = Next::Kind::kFrame;
+      out.payload = rest.substr(kFrameHeaderBytes, out.header.payload_len);
+      pos_ += kFrameHeaderBytes + out.header.payload_len;
+      return out;
+    }
+  }
+  // Nothing complete: keep only the unconsumed tail (this is the one point
+  // where earlier payload views go stale).
+  buf_.erase(0, pos_);
+  pos_ = 0;
+  return out;
 }
 
 Request decode_request(std::uint8_t type, std::string_view payload) {

@@ -122,8 +122,47 @@ struct FrameHeader {
 
 // Parses the 12-byte header. Throws ProtocolViolationError on bad magic or
 // version — the stream cannot be re-synchronized past either. Length policy
-// (RequestTooLarge) is the server's, not the codec's.
+// (RequestTooLarge) is FrameReader's, not the codec's.
 FrameHeader decode_frame_header(std::string_view bytes);
+
+// Splits a daemon's inbound byte stream into frames and owns the one resync
+// policy bccd and bccr share:
+//   - a frame whose payload_len exceeds max_payload_bytes is answered with
+//     one RequestTooLarge frame and its payload is skipped byte for byte;
+//     framing is intact, so the connection keeps serving;
+//   - a bad magic or version cannot be resynchronized past: it is answered
+//     with one ProtocolViolation frame, the caller closes the connection
+//     once that frame is sent, and the reader ignores every later byte.
+// Complete frames come back as a view into the reader's own buffer: no
+// payload is copied and no frame allocates.
+class FrameReader {
+ public:
+  struct Next {
+    enum class Kind : std::uint8_t {
+      kNeedMore,  // no complete frame buffered
+      kFrame,     // header + payload of one frame
+      kReject,    // send `reply`; close after it when close_after is set
+    };
+    Kind kind = Kind::kNeedMore;
+    FrameHeader header;                   // kFrame
+    std::string_view payload;             // kFrame: valid until the next append()/next()
+    StatusCode status = StatusCode::kOk;  // kReject: kRequestTooLarge or kProtocolViolation
+    std::string reply;                    // kReject: the error frame to send
+    bool close_after = false;             // kReject: the stream is unrecoverable
+  };
+
+  explicit FrameReader(std::size_t max_payload_bytes) : max_payload_bytes_(max_payload_bytes) {}
+
+  void append(std::string_view bytes);
+  Next next();
+
+ private:
+  std::string buf_;
+  std::size_t pos_ = 0;      // bytes of buf_ already handed out or skipped
+  std::size_t discard_ = 0;  // oversized payload bytes still to skip
+  std::size_t max_payload_bytes_;
+  bool failed_ = false;      // a bad header was rejected; nothing more is read
+};
 
 // Decodes a request payload for `type`. Throws ProtocolViolationError on an
 // unknown type, short/overlong payload, or field values no handler accepts

@@ -360,6 +360,7 @@ TEST(CampaignBudget, ParseMemBytesIsStrict) {
   EXPECT_FALSE(parse_mem_bytes("K").has_value());
   EXPECT_FALSE(parse_mem_bytes("1KB").has_value());
   EXPECT_FALSE(parse_mem_bytes(" 1").has_value());
+  EXPECT_FALSE(parse_mem_bytes("+1K").has_value());
   EXPECT_FALSE(parse_mem_bytes("99999999999999999999999").has_value());
   EXPECT_FALSE(parse_mem_bytes("999999999999G").has_value());  // overflow via suffix
 }

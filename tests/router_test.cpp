@@ -1,6 +1,6 @@
 // bccr shard router: rendezvous hashing, the per-backend circuit breaker,
-// failover, hedging, digest-verified relays, and the typed all-shards-dead
-// answer.
+// failover, digest-verified relays, the typed all-shards-dead answer, and
+// the front-side cases it shares with bccd (daemon_cases.h).
 //
 // End-to-end tests run real ServeServer backends on ephemeral TCP ports
 // behind a real RouterServer, driven through ServeClient — the same path
@@ -19,6 +19,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "daemon_cases.h"
 
 #include "bcc/checkpoint.h"
 #include "common/errors.h"
@@ -135,7 +137,7 @@ RouterConfig router_config(std::vector<std::uint16_t> backend_ports) {
 }
 
 // A request whose rendezvous rank puts `backend` first — the deterministic
-// victim for failover/hedge scenarios.
+// victim for failover scenarios.
 Request request_owned_by(const BackendPool& pool, std::size_t backend) {
   for (const Request& request : candidate_requests()) {
     if (pool.rank(request_cache_key(request))[0] == backend) return request;
@@ -464,33 +466,32 @@ TEST(Router, CorruptArtifactsAreRejectedByDigestAndFailedOver) {
   EXPECT_EQ(stats.responses_ok, 1u);
 }
 
-TEST(Router, HedgeBeatsAStalledPrimary) {
-  ServeConfig stalled_config;
-  stalled_config.faults.stall_every = 1;
-  stalled_config.faults.stall_ms = 3000;  // every response sleeps 3 s
-  RunningBackend stalled(stalled_config);
-  RunningBackend fast;
-  RouterConfig config = router_config({stalled.port(), fast.port()});
-  config.health.fail_threshold = 100;
-  config.hedge_delay_ms = 50;
-  config.attempt_deadline_ms = 10000;
-  RunningRouter router(config);
-  const Request victim = request_owned_by(router.router().pool(), 0);
+TEST(Router, OversizedFrameIsSkippedWithoutDroppingTheConnection) {
+  RunningBackend b0;
+  RunningRouter router(router_config({b0.port()}));
+  daemon_cases::oversized_frame_is_skipped_without_dropping_the_connection(
+      router, classify_request(6, ring_word(6)));
+}
 
-  {
-    ServeClient client = router.connect();
-    const auto t0 = std::chrono::steady_clock::now();
-    const Response response = client.request(victim);
-    const auto elapsed = std::chrono::steady_clock::now() - t0;
-    ASSERT_EQ(response.status, StatusCode::kOk);
-    EXPECT_EQ(fnv1a(response.artifact), response.digest);
-    // The hedge answered way before the 3 s stall released the primary.
-    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 2500);
-  }  // closing the connection joins the abandoned primary attempt
+TEST(Router, BadMagicGetsOneErrorFrameThenClose) {
+  RunningBackend b0;
+  RunningRouter router(router_config({b0.port()}));
+  daemon_cases::bad_magic_gets_one_error_frame_then_close(router);
+}
 
-  const RouterStats stats = router.stop();
-  EXPECT_GE(stats.hedges_launched, 1u);
-  EXPECT_GE(stats.hedges_won, 1u);
+TEST(Router, UnixSocketReclaimsStaleFilesAndRefusesLiveOnes) {
+  RunningBackend b0;
+  const std::string path =
+      "/tmp/bcclb_router_test_" + std::to_string(::getpid()) + ".sock";
+  daemon_cases::unix_socket_reclaims_stale_files_and_refuses_live_ones<RunningRouter,
+                                                                       RouterServer>(
+      path,
+      [&b0](const std::string& unix_path) {
+        RouterConfig config = router_config({b0.port()});
+        config.unix_path = unix_path;
+        return config;
+      },
+      classify_request(6, ring_word(6)));
 }
 
 TEST(Router, DrainAnswersTypedDrainingThenExits) {

@@ -29,6 +29,8 @@
 #include <typeinfo>
 #include <vector>
 
+#include "daemon_cases.h"
+
 #include "bcc/batch_runner.h"
 #include "bcc/checkpoint.h"
 #include "common/errors.h"
@@ -40,6 +42,7 @@
 #include "serve/client.h"
 #include "serve/disk_store.h"
 #include "serve/handlers.h"
+#include "serve/listener.h"
 #include "serve/loadgen.h"
 #include "serve/server.h"
 #include "serve/wire.h"
@@ -638,6 +641,134 @@ TEST(WireFuzz, MutatedFramesOnlyEverThrowProtocolViolation) {
   }
 }
 
+// What a FrameReader yielded, flattened so two runs can be compared.
+struct ReaderEvent {
+  FrameReader::Next::Kind kind = FrameReader::Next::Kind::kNeedMore;
+  std::uint8_t type = 0;
+  std::string payload;  // kFrame: the payload; kReject: the reply frame
+  bool close_after = false;
+
+  friend bool operator==(const ReaderEvent&, const ReaderEvent&) = default;
+};
+
+// Appends `stream` to a fresh FrameReader in chunks of the sizes `chunk`
+// hands out and drains next() after every append. Checks the reader's
+// contract as it goes: frames respect the payload cap and carry exactly
+// payload_len bytes, nothing follows a closing rejection, and only
+// ProtocolViolationError may escape.
+template <class ChunkSize>
+std::vector<ReaderEvent> read_in_chunks(std::string_view stream, ChunkSize chunk) {
+  constexpr std::size_t kCap = 64;
+  FrameReader reader(kCap);
+  std::vector<ReaderEvent> events;
+  bool closed = false;
+  for (std::size_t at = 0; at < stream.size();) {
+    const std::size_t len = std::min(chunk(), stream.size() - at);
+    reader.append(stream.substr(at, len));
+    at += len;
+    for (;;) {
+      const FrameReader::Next next = reader.next();
+      if (next.kind == FrameReader::Next::Kind::kNeedMore) break;
+      EXPECT_FALSE(closed) << "the reader yielded after a closing rejection";
+      ReaderEvent event;
+      event.kind = next.kind;
+      if (next.kind == FrameReader::Next::Kind::kFrame) {
+        EXPECT_LE(next.payload.size(), kCap);
+        EXPECT_EQ(next.payload.size(), next.header.payload_len);
+        event.type = next.header.type;
+        event.payload = std::string(next.payload);
+      } else {
+        EXPECT_TRUE(next.status == StatusCode::kRequestTooLarge ||
+                    next.status == StatusCode::kProtocolViolation);
+        EXPECT_EQ(next.close_after, next.status == StatusCode::kProtocolViolation);
+        const FrameHeader reply = decode_frame_header(next.reply);
+        EXPECT_EQ(reply.status, static_cast<std::uint16_t>(next.status));
+        event.payload = next.reply;
+        event.close_after = next.close_after;
+        closed = closed || next.close_after;
+      }
+      events.push_back(std::move(event));
+    }
+  }
+  return events;
+}
+
+// A multi-frame request stream: well-formed frames around an oversized one
+// (skipped, connection kept), ending in bytes with a bad magic (answered
+// once, then closed).
+std::string reader_stream() {
+  std::string stream;
+  stream += encode_request_frame(classify_request(6, ring_word(6)));
+  stream += encode_request_frame(indist_request(7));
+  stream += daemon_cases::oversized_frame(100);
+  Request stats;
+  stats.type = RequestType::kStats;
+  stream += encode_request_frame(stats);  // empty payload
+  stream += encode_request_frame(rank_request('E', 8));
+  stream += encode_request_frame(sim_implicit_request(1, 100, 2019));
+  stream += "GARBAGE BYTES THAT ARE NOT A FRAME";
+  return stream;
+}
+
+// Seeded mutated multi-frame streams, fed in seeded random chunk sizes: the
+// reader only ever yields frames, rejections or need-more, and throws
+// nothing but ProtocolViolationError.
+TEST(WireFuzz, FrameReaderSurvivesMutatedStreamsInRandomChunks) {
+  const std::string clean = reader_stream();
+  Rng rng(0xc4a2c5ULL);
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string stream = clean;
+    const std::uint64_t mutations = 1 + rng.next_below(4);
+    for (std::uint64_t m = 0; m < mutations; ++m) {
+      switch (rng.next_below(3)) {
+        case 0:  // truncate anywhere
+          stream.resize(rng.next_below(stream.size() + 1));
+          break;
+        case 1:  // flip one bit anywhere
+          if (!stream.empty()) {
+            stream[rng.next_below(stream.size())] ^= static_cast<char>(1u << rng.next_below(8));
+          }
+          break;
+        default: {  // overwrite four bytes with a random (length-like) word
+          if (stream.size() >= 4) {
+            const std::size_t at = rng.next_below(stream.size() - 3);
+            const std::uint32_t bogus = static_cast<std::uint32_t>(rng.next_u64());
+            for (int i = 0; i < 4; ++i) {
+              stream[at + i] = static_cast<char>((bogus >> (8 * i)) & 0xff);
+            }
+          }
+          break;
+        }
+      }
+    }
+    try {
+      read_in_chunks(stream, [&rng] { return 1 + rng.next_below(40); });
+    } catch (const ProtocolViolationError&) {
+      // The one acceptable exception for malformed bytes.
+    } catch (const std::exception& e) {
+      FAIL() << "iteration " << iter << " threw " << typeid(e).name() << ": " << e.what();
+    }
+  }
+}
+
+// An unmutated stream yields the same events at every chunk size, from one
+// byte at a time up to the whole stream in one append.
+TEST(WireFuzz, FrameReaderYieldsTheSameFramesAtEveryChunkSize) {
+  const std::string stream = reader_stream();
+  const std::vector<ReaderEvent> whole =
+      read_in_chunks(stream, [&stream] { return stream.size(); });
+  // 5 frames plus two rejections: the oversized one and the closing one.
+  ASSERT_EQ(whole.size(), 7u);
+  EXPECT_EQ(whole[2].kind, FrameReader::Next::Kind::kReject);
+  EXPECT_FALSE(whole[2].close_after);
+  EXPECT_EQ(whole[3].type, static_cast<std::uint8_t>(RequestType::kStats));
+  EXPECT_EQ(whole.back().kind, FrameReader::Next::Kind::kReject);
+  EXPECT_TRUE(whole.back().close_after);
+  for (std::size_t size = 1; size <= stream.size(); ++size) {
+    EXPECT_EQ(read_in_chunks(stream, [size] { return size; }), whole) << "chunk size " << size;
+  }
+}
+
 // ---- end-to-end server ----------------------------------------------------
 
 TEST(ServeServer, AnswersAndCachesWithByteIdenticalRepeats) {
@@ -912,37 +1043,13 @@ TEST(ServeServer, WarmHitWhileDrainingIsRefused) {
 
 TEST(ServeServer, OversizedFrameIsSkippedWithoutDroppingTheConnection) {
   RunningServer running({});
-  ServeClient client = running.connect();
-
-  // A framing-valid request whose payload exceeds max_request_bytes (64).
-  std::string oversized;
-  oversized.append(kWireMagic, sizeof kWireMagic);
-  oversized.push_back(static_cast<char>(kWireVersion));
-  oversized.push_back(static_cast<char>(RequestType::kClassify));
-  oversized.append(2, '\0');  // status
-  const std::uint32_t len = 500;
-  for (int i = 0; i < 4; ++i) oversized.push_back(static_cast<char>((len >> (8 * i)) & 0xff));
-  oversized.append(len, '\x7f');
-  client.send_raw(oversized);
-
-  const Response bounced = client.read_response();
-  EXPECT_EQ(bounced.status, StatusCode::kRequestTooLarge);
-
-  // Framing survived the skip: the next well-formed request is served.
-  const Response ok = client.request(rank_request('M', 5));
-  EXPECT_EQ(ok.status, StatusCode::kOk);
-  EXPECT_EQ(running.stop().too_large, 1u);
+  daemon_cases::oversized_frame_is_skipped_without_dropping_the_connection(
+      running, rank_request('M', 5));
 }
 
 TEST(ServeServer, BadMagicGetsOneErrorFrameThenClose) {
   RunningServer running({});
-  ServeClient client = running.connect();
-  client.send_raw("GARBAGE BYTES THAT ARE NOT A FRAME");
-  const Response error = client.read_response();
-  EXPECT_EQ(error.status, StatusCode::kProtocolViolation);
-  // The stream is unrecoverable, so the server closes after the flush.
-  EXPECT_THROW(client.read_response(), ServeError);
-  EXPECT_EQ(running.stop().protocol_violations, 1u);
+  daemon_cases::bad_magic_gets_one_error_frame_then_close(running);
 }
 
 TEST(ServeServer, SemanticComputeFailureIsTypedAndNonFatal) {
@@ -964,23 +1071,47 @@ TEST(ServeServer, SemanticComputeFailureIsTypedAndNonFatal) {
 TEST(ServeServer, UnixSocketReclaimsStaleFilesAndRefusesLiveOnes) {
   const std::string path =
       "/tmp/bcclb_serve_test_" + std::to_string(::getpid()) + ".sock";
-  // A stale leftover (regular file here; nobody accepts on it) is reclaimed.
-  { std::FILE* f = std::fopen(path.c_str(), "w"); ASSERT_NE(f, nullptr); std::fclose(f); }
-  ServeConfig config;
-  config.unix_path = path;
-  RunningServer running(std::move(config));
-  ServeClient client = ServeClient::connect_unix(path);
-  EXPECT_EQ(client.request(rank_request('M', 4)).status, StatusCode::kOk);
+  daemon_cases::unix_socket_reclaims_stale_files_and_refuses_live_ones<RunningServer,
+                                                                       ServeServer>(
+      path,
+      [](const std::string& unix_path) {
+        ServeConfig config;
+        config.unix_path = unix_path;
+        return config;
+      },
+      rank_request('M', 4));
+}
 
-  // A second daemon on the same live socket must refuse to start.
-  ServeConfig second;
-  second.unix_path = path;
-  ServeServer other(std::move(second));
-  EXPECT_THROW(other.bind(), ServeError);
-
-  running.stop();
-  // Drain removed the socket file.
+// A closed listener never touches the path again: a successor that binds
+// the same path after a drain keeps its socket when the old listener is
+// closed again or destroyed, and a refused instance removes nothing.
+TEST(Listener, UnlinksOnlyTheSocketFileItCreatedAndOnlyOnce) {
+  const std::string path =
+      "/tmp/bcclb_listener_test_" + std::to_string(::getpid()) + ".sock";
+  Listener first("test", path, 0);
+  EXPECT_EQ(first.endpoint(), "unix:" + path);
+  first.close();
   EXPECT_NE(::access(path.c_str(), F_OK), 0);
+
+  Listener successor("test", path, 0);
+  first.close();
+  { Listener moved = std::move(first); }
+  EXPECT_EQ(::access(path.c_str(), F_OK), 0);
+  try {
+    Listener refused("test", path, 0);
+    ADD_FAILURE() << "a second listener bound a live socket path";
+  } catch (const ServeError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("test: ", 0), 0u) << e.what();
+  }
+  EXPECT_EQ(::access(path.c_str(), F_OK), 0);
+
+  successor.close();
+  EXPECT_NE(::access(path.c_str(), F_OK), 0);
+
+  // TCP: the kernel-assigned port is read back.
+  Listener tcp("test", "", 0);
+  EXPECT_NE(tcp.tcp_port(), 0);
+  EXPECT_EQ(tcp.endpoint(), "tcp:127.0.0.1:" + std::to_string(tcp.tcp_port()));
 }
 
 // ---- durable tier + hardened client ---------------------------------------

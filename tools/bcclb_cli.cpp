@@ -32,8 +32,10 @@
 // SIGINT/SIGTERM during a campaign set a sig_atomic_t flag the runner polls
 // between job batches: the run flushes a final checkpoint, prints the resume
 // command, and exits 130 instead of dying dirty.
+#include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -49,16 +51,13 @@ using namespace bcclb;
 
 namespace {
 
-// Strict whole-string parse helpers. Reject empty strings, trailing junk
-// ("7x"), out-of-range values, and (for the unsigned parsers) negatives —
-// strtoul would silently wrap "-3" to a huge value.
+// Strict whole-string parse helpers. Reject empty strings, leading
+// whitespace, signs, trailing junk ("7x") and out-of-range values; the
+// unsigned ones are the BCCLB_* environment parser (common/env.h), so " -3"
+// can never wrap to a huge value.
 std::optional<std::uint64_t> parse_u64(const char* s) {
-  if (s == nullptr || *s == '\0' || *s == '-') return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) return std::nullopt;
-  return static_cast<std::uint64_t>(value);
+  if (s == nullptr) return std::nullopt;
+  return parse_env_u64(s);
 }
 
 std::optional<std::size_t> parse_size(const char* s) {
@@ -73,12 +72,18 @@ std::optional<unsigned> parse_unsigned(const char* s) {
   return static_cast<unsigned>(*v);
 }
 
+// Finite values only: "nan" and "inf" would flow into reports as
+// non-JSON tokens.
 std::optional<double> parse_double(const char* s) {
-  if (s == nullptr || *s == '\0') return std::nullopt;
+  if (s == nullptr || *s == '\0' || std::isspace(static_cast<unsigned char>(*s))) {
+    return std::nullopt;
+  }
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(s, &end);
-  if (end == s || *end != '\0' || errno == ERANGE) return std::nullopt;
+  if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(value)) {
+    return std::nullopt;
+  }
   return value;
 }
 
@@ -826,8 +831,8 @@ int cmd_loadgen(int argc, char** argv) {
 }
 
 // bccr: the shard router (DESIGN.md §9). Fronts N `bcclb serve` daemons with
-// rendezvous hashing, per-backend circuit breakers, failover and optional
-// hedging. Drains on SIGINT/SIGTERM exactly like bccd.
+// rendezvous hashing, per-backend circuit breakers and failover. Drains on
+// SIGINT/SIGTERM exactly like bccd.
 int cmd_route(int argc, char** argv) {
   RouterConfig config;
   bool have_endpoint = false;
@@ -866,10 +871,6 @@ int cmd_route(int argc, char** argv) {
       const auto ms = parse_u64(value);
       if (!ms || *ms == 0) return usage();
       config.attempt_deadline_ms = *ms;
-    } else if (flag == "--hedge-ms" && value != nullptr) {
-      const auto ms = parse_u64(value);
-      if (!ms) return usage();
-      config.hedge_delay_ms = *ms;
     } else if (flag == "--max-connections" && value != nullptr) {
       const auto cap = parse_size(value);
       if (!cap || *cap == 0) return usage();
@@ -900,10 +901,8 @@ int cmd_route(int argc, char** argv) {
               static_cast<unsigned long long>(stats.requests_routed),
               static_cast<unsigned long long>(stats.responses_ok),
               static_cast<unsigned long long>(stats.responses_error));
-  std::printf("  failovers %llu, hedges %llu (won %llu), digest-rejected %llu, no-backend %llu\n",
+  std::printf("  failovers %llu, digest-rejected %llu, no-backend %llu\n",
               static_cast<unsigned long long>(stats.failovers),
-              static_cast<unsigned long long>(stats.hedges_launched),
-              static_cast<unsigned long long>(stats.hedges_won),
               static_cast<unsigned long long>(stats.digest_rejected),
               static_cast<unsigned long long>(stats.no_backend));
   for (std::size_t id = 0; id < stats.backends.size(); ++id) {
@@ -1091,7 +1090,7 @@ int usage() {
                "          [--cache-budget <bytes>] [--max-connections N] [--store <dir>]\n"
                "  route   (--socket <path> | --port <p>) --backend (unix:<path>|tcp:<p>) ...\n"
                "          [--fail-threshold N] [--open-ms MS] [--probe-interval-ms MS]\n"
-               "          [--probe-deadline-ms MS] [--attempt-deadline-ms MS] [--hedge-ms MS]\n"
+               "          [--probe-deadline-ms MS] [--attempt-deadline-ms MS]\n"
                "          [--max-connections N] [--seed S]\n"
                "  probe   (--socket <path> | --port <p>)\n"
                "  loadgen (--socket <path> | --port <p>) [--requests N] [--concurrency N]\n"
