@@ -21,7 +21,8 @@
 //   ResourceBudgetError     — a job's footprint exceeds the memory budget
 //   VerifierAnomalyError    — a search candidate scored below its own
 //                             certificate floor (a verifier bug, not a
-//                             discovery; see DESIGN.md §11)
+//                             discovery; see DESIGN.md §11), or a tiled
+//                             rank that differs from the closed form
 //   ServeError              — base of the serving daemon's overload and
 //                             protocol taxonomy (src/serve/):
 //     QueueFullError        — the admission queue is at capacity (backpressure)
@@ -151,8 +152,10 @@ class ResourceBudgetError : public BcclbError {
 // A strategy-search candidate scored better than its own Theorem 3.1
 // matching certificate allows — mathematically impossible, so the oracle (or
 // the certificate checker) is broken. The search throws this instead of
-// reporting a "discovery": the anomaly policy of DESIGN.md §11. Never
-// transient — a broken verifier must stop the campaign, not be retried.
+// reporting a "discovery": the anomaly policy of DESIGN.md §11. `bcclb rank`
+// throws it, too, when the eliminated rank of M_n differs from the closed
+// form, instead of printing a certificate. Never transient — a broken
+// verifier must stop the campaign, not be retried.
 class VerifierAnomalyError : public BcclbError {
  public:
   using BcclbError::BcclbError;

@@ -15,6 +15,7 @@
 #include "common/errors.h"
 #include "common/parallel.h"
 #include "linalg/gf2_matrix.h"
+#include "partition/bell.h"
 #include "partition/enumeration.h"
 #include "partition/unrank.h"
 
@@ -233,7 +234,36 @@ struct SegmentMeta {
   std::uint64_t digest = 0;
 };
 
-// ---- GF(2) elimination -------------------------------------------------------
+// ---- elimination kernels -----------------------------------------------------
+//
+// Both kernels apply pivots in batches of kBatch. The mod-p accumulator holds
+// at most 8 products below 2^60 (p < 2^30) before it must reduce, and the
+// GF(2) four-Russians table has 2^8 entries; phase 2's panel is one batch.
+constexpr std::size_t kBatch = 8;
+
+// First nonzero column of a row, or `dimension` for a zero row.
+std::uint64_t gf2_lead(const std::uint64_t* row, std::size_t words, std::size_t dimension) {
+  for (std::size_t w = 0; w < words; ++w) {
+    if (row[w]) return w * 64 + static_cast<std::uint64_t>(__builtin_ctzll(row[w]));
+  }
+  return dimension;
+}
+
+std::uint64_t modp_lead(const std::uint32_t* row, std::size_t dimension) {
+  for (std::size_t x = 0; x < dimension; ++x) {
+    if (row[x]) return x;
+  }
+  return dimension;
+}
+
+// Trial division: the moduli here are below 2^30, so divisors stay below 2^15.
+bool is_prime(std::uint64_t p) {
+  if (p < 2) return false;
+  for (std::uint64_t d = 2; d * d <= p; ++d) {
+    if (p % d == 0) return false;
+  }
+  return true;
+}
 
 inline bool gf2_bit(const std::uint64_t* row, std::uint64_t c) {
   return (row[c / 64] >> (c % 64)) & 1ULL;
@@ -244,21 +274,22 @@ inline void gf2_xor(std::uint64_t* row, const std::uint64_t* other, std::size_t 
 }
 
 // Reduces every work row against pivots q_0..q_{count-1} (consecutive in
-// global insertion order). Batches of <= 8: the in-batch dependency is
+// global insertion order). Per batch: the in-batch dependency is
 // triangular (an earlier pivot row may be nonzero at a later pivot's
 // column, never vice versa), so the batch coefficients solve in 8 bit
 // steps; then one XOR-combination — via a 2^s four-Russians table when the
 // tile is tall enough to amortize it — clears all s columns at once. XOR is
 // exact, so table and direct paths, any batching, and any thread split
-// produce identical rows.
+// produce identical rows. The table is rebuilt per batch and shared by the
+// workers, so this kernel fans out once per batch.
 void gf2_reduce_rows(std::uint64_t* work, std::size_t rows, std::size_t words,
                      const std::uint64_t* pivots, const std::uint64_t* cols, std::size_t count,
                      unsigned threads, std::vector<std::uint64_t>& table_scratch) {
-  for (std::size_t b = 0; b < count; b += 8) {
-    const std::size_t s = std::min<std::size_t>(8, count - b);
-    const std::uint64_t* q[8];
-    std::uint64_t c[8];
-    std::uint8_t tri[8] = {0, 0, 0, 0, 0, 0, 0, 0};  // tri[j] bit i = q_i[c_j], i < j
+  for (std::size_t b = 0; b < count; b += kBatch) {
+    const std::size_t s = std::min(kBatch, count - b);
+    const std::uint64_t* q[kBatch];
+    std::uint64_t c[kBatch];
+    std::uint8_t tri[kBatch] = {0, 0, 0, 0, 0, 0, 0, 0};  // tri[j] bit i = q_i[c_j], i < j
     for (std::size_t j = 0; j < s; ++j) {
       q[j] = pivots + (b + j) * words;
       c[j] = cols[b + j];
@@ -301,28 +332,34 @@ void gf2_reduce_rows(std::uint64_t* work, std::size_t rows, std::size_t words,
   }
 }
 
-// ---- mod-p elimination -------------------------------------------------------
-
 // Solves the triangular batch coefficients f_j = (r[c_j] - sum_{i<j} f_i *
 // q_i[c_j]) mod p, then applies r -= sum f_j q_j with raw u64 accumulation:
 // 8 products below 2^60 plus carries stay below 2^63, so one % p per entry
-// per 8 pivots. Modular arithmetic is exact — batching/chunking/threads
-// cannot change the reduced row.
+// per batch. The sweep visits only the batch's support — the columns where
+// some q_j is nonzero, found once per batch by the first row that needs it —
+// since every other column has acc == 0 and stays as it is; M_8's pivot
+// rows are about 1% nonzero. One fan-out per call: each worker walks every
+// batch over its own row block, so each row sees the same arithmetic in the
+// same order at any thread count. Modular arithmetic is exact, so batching
+// and chunking cannot change the reduced row either. rows == 1 runs inline.
 void modp_reduce_rows(std::uint32_t* work, std::size_t rows, std::size_t cols, std::uint64_t p,
                       const std::uint32_t* pivots, const std::uint64_t* pivot_cols,
                       std::size_t count, unsigned threads) {
-  for (std::size_t b = 0; b < count; b += 8) {
-    const std::size_t s = std::min<std::size_t>(8, count - b);
-    const std::uint32_t* q[8];
-    std::uint64_t c[8];
-    for (std::size_t j = 0; j < s; ++j) {
-      q[j] = pivots + (b + j) * cols;
-      c[j] = pivot_cols[b + j];
-    }
-    parallel_for_blocks(rows, threads, [&](std::size_t begin, std::size_t end) {
+  if (count == 0) return;
+  parallel_for_blocks(rows, threads, [&](std::size_t begin, std::size_t end) {
+    std::vector<std::uint32_t> support;  // empty until a row of this batch needs it
+    for (std::size_t b = 0; b < count; b += kBatch) {
+      const std::size_t s = std::min(kBatch, count - b);
+      const std::uint32_t* q[kBatch];
+      std::uint64_t c[kBatch];
+      for (std::size_t j = 0; j < s; ++j) {
+        q[j] = pivots + (b + j) * cols;
+        c[j] = pivot_cols[b + j];
+      }
+      support.clear();
       for (std::size_t r = begin; r < end; ++r) {
         std::uint32_t* row = work + r * cols;
-        std::uint64_t f[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+        std::uint64_t f[kBatch] = {0, 0, 0, 0, 0, 0, 0, 0};
         bool any = false;
         for (std::size_t j = 0; j < s; ++j) {
           std::uint64_t acc = 0;
@@ -333,7 +370,14 @@ void modp_reduce_rows(std::uint32_t* work, std::size_t rows, std::size_t cols, s
           any = any || f[j] != 0;
         }
         if (!any) continue;
-        for (std::size_t x = 0; x < cols; ++x) {
+        if (support.empty()) {
+          for (std::size_t x = 0; x < cols; ++x) {
+            std::uint32_t nz = 0;
+            for (std::size_t j = 0; j < s; ++j) nz |= q[j][x];
+            if (nz != 0) support.push_back(static_cast<std::uint32_t>(x));
+          }
+        }
+        for (const std::uint32_t x : support) {
           std::uint64_t acc = 0;
           for (std::size_t j = 0; j < s; ++j) acc += f[j] * q[j][x];
           if (acc == 0) continue;
@@ -342,7 +386,31 @@ void modp_reduce_rows(std::uint32_t* work, std::size_t rows, std::size_t cols, s
           row[x] = static_cast<std::uint32_t>(v >= sub ? v - sub : v + p - sub);
         }
       }
-    });
+    }
+  });
+}
+
+// Phase 2, for either field: turns the reduced tile rows into this tile's
+// new pivots, in row order. `reduce(row, nrows, first, count, threads)`
+// clears new pivots [first, first + count) from tile rows [row, row +
+// nrows) with the field kernel; `insert(row)` appends the row as a pivot
+// when it is nonzero. Rows go in panels of kBatch: each panel row is
+// reduced against the panel's earlier pivots on this thread and inserted;
+// only then are the panel's pivots applied, in parallel, to every trailing
+// row. A row thus ends as the unique vector of r + span(earlier pivots)
+// that is zero on every earlier pivot column — the same row, lead and
+// pivot as a row-by-row insertion yields.
+template <class Reduce, class Insert>
+void insert_panels(std::size_t rows, const std::vector<std::uint64_t>& new_cols,
+                   unsigned threads, Reduce&& reduce, Insert&& insert) {
+  for (std::size_t p0 = 0; p0 < rows; p0 += kBatch) {
+    const std::size_t p1 = std::min(rows, p0 + kBatch);
+    const std::size_t first = new_cols.size();
+    for (std::size_t r = p0; r < p1; ++r) {
+      reduce(r, 1, first, new_cols.size() - first, 1);
+      insert(r);
+    }
+    reduce(p1, rows - p1, first, new_cols.size() - first, threads);
   }
 }
 
@@ -443,6 +511,13 @@ std::string rank_segment_path(const std::string& dir, std::size_t tile_index) {
   return dir + name;
 }
 
+std::size_t closed_form_join_rank(std::size_t n, RankField field, std::uint64_t prime) {
+  const std::uint64_t p = field == RankField::kGf2 ? 2 : prime;
+  std::uint64_t rank = 0;
+  for (std::size_t k = 0; k <= n && k <= p; ++k) rank += stirling2(n, k).to_u64();
+  return static_cast<std::size_t>(rank);
+}
+
 std::size_t join_tile_rank(const JoinTile& tile, RankField field, std::uint64_t prime) {
   if (field == RankField::kGf2) {
     Gf2Matrix m(tile.rows, tile.cols);
@@ -474,7 +549,7 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
     throw RangeViolationError("tiled rank: tile-rows must be at least 1");
   }
   if (cfg.field == RankField::kModp) {
-    BCCLB_REQUIRE(cfg.prime >= 2 && cfg.prime < (1ULL << 30),
+    BCCLB_REQUIRE(cfg.prime >= 2 && cfg.prime < (1ULL << 30) && is_prime(cfg.prime),
                   "tiled rank needs a prime below 2^30 (deferred reduction bound)");
   }
   const std::size_t K = cfg.tile_rows;
@@ -531,23 +606,10 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
                                                       seg.digest);
       for (std::size_t r = 0; r < seg.rows; ++r) {
         std::memcpy(row_scratch.data(), bytes.data() + r * row_bytes, row_bytes);
-        std::uint64_t lead = dimension;
-        if (cfg.field == RankField::kGf2) {
-          for (std::size_t w = 0; w < words; ++w) {
-            if (row_scratch[w]) {
-              lead = w * 64 + static_cast<std::uint64_t>(__builtin_ctzll(row_scratch[w]));
-              break;
-            }
-          }
-        } else {
-          const auto* vr = reinterpret_cast<const std::uint32_t*>(row_scratch.data());
-          for (std::size_t x = 0; x < dimension; ++x) {
-            if (vr[x]) {
-              lead = x;
-              break;
-            }
-          }
-        }
+        const std::uint64_t lead =
+            cfg.field == RankField::kGf2
+                ? gf2_lead(row_scratch.data(), words, dimension)
+                : modp_lead(reinterpret_cast<const std::uint32_t*>(row_scratch.data()), dimension);
         if (lead >= dimension) bad_checkpoint(ckpt_path, "segment contains an all-zero pivot row");
         pivot_cols.push_back(lead);
       }
@@ -573,6 +635,21 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
 
   const auto interrupted = [&] { return cfg.interrupt != nullptr && *cfg.interrupt != 0; };
 
+  // Staging holds at most one tile of new pivots; reserving it up front
+  // means the insertions below never reallocate under the kernels' reads.
+  const std::size_t max_tile_rows = std::min(K, dimension);
+  if (cfg.field == RankField::kGf2) {
+    gf2_new_seg.reserve(max_tile_rows * words);
+  } else {
+    modp_new_seg.reserve(max_tile_rows * dimension);
+  }
+
+  using Clock = std::chrono::steady_clock;
+  const auto elapsed_ns = [](Clock::time_point since) {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - since).count());
+  };
+
   while (st.tiles_done < tiles_total) {
     if (interrupted()) break;
     if (cfg.stop_after_tiles > 0 && report.tiles_run >= cfg.stop_after_tiles) break;
@@ -581,6 +658,7 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
     const std::size_t hi = std::min<std::size_t>(dimension, lo + K);
     const std::size_t rows = hi - lo;
 
+    Clock::time_point phase_start = Clock::now();
     JoinTile tile = generate_join_tile(cfg.n, lo, hi, cfg.threads);
     const std::uint64_t tile_ones = tile.ones;
     const std::uint64_t tile_digest = tile.digest;
@@ -606,9 +684,11 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
       tile.bits.clear();
       tile.bits.shrink_to_fit();
     }
+    report.gen_ns += elapsed_ns(phase_start);
 
     // Phase 1: reduce the whole tile against every prior pivot, streamed in
     // insertion order through the bounded chunk buffer.
+    phase_start = Clock::now();
     bool aborted = false;
     std::size_t applied = 0;
     for (std::size_t s = 0; s < st.segments.size() && !aborted; ++s) {
@@ -631,68 +711,61 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
         }
       }
     }
+    report.phase1_ns += elapsed_ns(phase_start);
     if (aborted) break;
 
-    // Phase 2: in-tile insertion, sequential in row order — the pivot set
-    // (and therefore the rank) depends only on the global row order.
+    // Phase 2: in-tile insertion in 8-row panels (insert_panels) — the
+    // pivot set (and therefore the rank) depends only on the global row
+    // order.
+    phase_start = Clock::now();
     gf2_new_seg.clear();
     modp_new_seg.clear();
     new_cols.clear();
     if (cfg.field == RankField::kGf2) {
-      for (std::size_t r = 0; r < rows; ++r) {
-        std::uint64_t* row = gf2_work.data() + r * words;
-        for (std::size_t jp = 0; jp < new_cols.size(); ++jp) {
-          if (gf2_bit(row, new_cols[jp])) {
-            gf2_xor(row, gf2_new_seg.data() + jp * words, words);
-          }
-        }
-        std::uint64_t lead = dimension;
-        for (std::size_t w = 0; w < words; ++w) {
-          if (row[w]) {
-            lead = w * 64 + static_cast<std::uint64_t>(__builtin_ctzll(row[w]));
-            break;
-          }
-        }
-        if (lead < dimension) {
-          new_cols.push_back(lead);
-          gf2_new_seg.insert(gf2_new_seg.end(), row, row + words);
-        }
-      }
+      insert_panels(
+          rows, new_cols, cfg.threads,
+          [&](std::size_t row, std::size_t nrows, std::size_t first, std::size_t count,
+              unsigned threads) {
+            gf2_reduce_rows(gf2_work.data() + row * words, nrows, words,
+                            gf2_new_seg.data() + first * words, new_cols.data() + first, count,
+                            threads, gf2_table);
+          },
+          [&](std::size_t r) {
+            const std::uint64_t* row = gf2_work.data() + r * words;
+            const std::uint64_t lead = gf2_lead(row, words, dimension);
+            if (lead < dimension) {
+              new_cols.push_back(lead);
+              gf2_new_seg.insert(gf2_new_seg.end(), row, row + words);
+            }
+          });
     } else {
       const std::uint64_t p = cfg.prime;
-      for (std::size_t r = 0; r < rows; ++r) {
-        std::uint32_t* row = modp_work.data() + r * dimension;
-        for (std::size_t jp = 0; jp < new_cols.size(); ++jp) {
-          const std::uint64_t f = row[new_cols[jp]];
-          if (f == 0) continue;
-          const std::uint32_t* q = modp_new_seg.data() + jp * dimension;
-          for (std::size_t x = 0; x < dimension; ++x) {
-            const std::uint64_t sub = (f * q[x]) % p;
-            const std::uint64_t v = row[x];
-            row[x] = static_cast<std::uint32_t>(v >= sub ? v - sub : v + p - sub);
-          }
-        }
-        std::uint64_t lead = dimension;
-        for (std::size_t x = 0; x < dimension; ++x) {
-          if (row[x]) {
-            lead = x;
-            break;
-          }
-        }
-        if (lead < dimension) {
-          if (row[lead] != 1) {
-            const std::uint64_t inv = modp_inverse(row[lead], p);
-            for (std::size_t x = 0; x < dimension; ++x) {
-              row[x] = static_cast<std::uint32_t>((row[x] * inv) % p);
+      insert_panels(
+          rows, new_cols, cfg.threads,
+          [&](std::size_t row, std::size_t nrows, std::size_t first, std::size_t count,
+              unsigned threads) {
+            modp_reduce_rows(modp_work.data() + row * dimension, nrows, dimension, p,
+                             modp_new_seg.data() + first * dimension, new_cols.data() + first,
+                             count, threads);
+          },
+          [&](std::size_t r) {
+            std::uint32_t* row = modp_work.data() + r * dimension;
+            const std::uint64_t lead = modp_lead(row, dimension);
+            if (lead == dimension) return;
+            if (row[lead] != 1) {  // normalize so the pivot entry is 1
+              const std::uint64_t inv = modp_inverse(row[lead], p);
+              for (std::size_t x = lead; x < dimension; ++x) {
+                if (row[x] != 0) row[x] = static_cast<std::uint32_t>((row[x] * inv) % p);
+              }
             }
-          }
-          new_cols.push_back(lead);
-          modp_new_seg.insert(modp_new_seg.end(), row, row + dimension);
-        }
-      }
+            new_cols.push_back(lead);
+            modp_new_seg.insert(modp_new_seg.end(), row, row + dimension);
+          });
     }
+    report.phase2_ns += elapsed_ns(phase_start);
 
     // Phase 3: persist the segment, extend the digest chain, checkpoint.
+    phase_start = Clock::now();
     std::string segment_bytes;
     if (cfg.field == RankField::kGf2 && !gf2_new_seg.empty()) {
       segment_bytes.assign(reinterpret_cast<const char*>(gf2_new_seg.data()),
@@ -717,6 +790,7 @@ TiledRankReport tiled_partition_rank(const TiledRankConfig& cfg) {
     if (!ckpt_path.empty()) {
       write_snapshot_atomic(ckpt_path, render_checkpoint(header, st));
     }
+    report.persist_ns += elapsed_ns(phase_start);
     ++report.tiles_run;
     report.peak_resident_bytes =
         std::max(report.peak_resident_bytes,

@@ -13,20 +13,31 @@
 //        packing M_n(i, j) bits 64 per word. Rows shard across threads
 //        (common/parallel.h); every bit is a pure function of (i, j), so
 //        the tile is identical at any BCCLB_THREADS.
-//     2. reduce the tile against every pivot row discovered by earlier
-//        tiles. Pivots stream through a bounded chunk buffer (sized from
-//        the memory budget) in global insertion order, applied in batches
-//        of 8 with a triangular in-batch solve:
+//     2. phase 1: reduce the tile against every pivot row discovered by
+//        earlier tiles. Pivots stream through a bounded chunk buffer (sized
+//        from the memory budget) in global insertion order, applied in
+//        batches of 8 with a triangular in-batch solve:
 //          GF(2)  — four-Russians: one 256-entry XOR-combination table per
 //                   batch clears 8 pivots per row with one table lookup;
-//          mod p  — one u64 multiply-accumulate sweep per batch and a
-//                   single % p per entry per 8 pivots (8 * (2^30)^2 fits
-//                   u64). Field arithmetic is exact, so the result is
-//                   independent of batching, chunking, and thread count.
-//     3. in-tile insertion: surviving rows become new pivots (normalized so
-//        the pivot entry is 1), appended in row order — the classic rank-
-//        by-insertion argument makes the pivot set and rank independent of
-//        the tiling.
+//                   the table is shared, so the rows fan out per batch;
+//          mod p  — one u64 multiply-accumulate sweep per batch over the
+//                   columns where the batch is nonzero, and a single % p
+//                   per entry per 8 pivots (8 * (2^30)^2 fits u64). The
+//                   rows fan out once per chunk: each worker walks every
+//                   batch over its own row block.
+//        Field arithmetic is exact, so the result is independent of
+//        batching, chunking, and thread count.
+//     3. phase 2, in-tile insertion in panels of 8 rows, one loop for
+//        both fields: each panel row is reduced against the panel's
+//        earlier new pivots, normalized so its lead entry is 1, and
+//        appended; then the panel's pivots are applied to every trailing
+//        tile row in one parallel kernel call. Each row ends as the unique
+//        vector of r + span(earlier pivots) that is zero on every earlier
+//        pivot column — unique because the pivots, restricted to their
+//        columns, are unit-triangular — so pivots, segment bytes and
+//        certificate equal those of row-by-row insertion on one thread,
+//        and the classic rank-by-insertion argument makes the pivot set
+//        and rank independent of the tiling.
 //     4. the tile's new pivot rows are persisted as one segment (disk when
 //        a directory is configured, RAM otherwise) and the checkpoint is
 //        atomically rewritten (bcc/checkpoint.h): header, tiles-done, rank,
@@ -119,6 +130,12 @@ struct TiledRankReport {
   std::size_t tiles_run = 0;       // tiles eliminated by this invocation
   std::size_t tiles_resumed = 0;   // tiles restored from the checkpoint
   std::uint64_t peak_resident_bytes = 0;  // tile + chunk + scratch high-water mark
+
+  // Wall time this invocation spent in each phase, summed over its tiles.
+  std::uint64_t gen_ns = 0;      // tile generation and the mod-p expansion
+  std::uint64_t phase1_ns = 0;   // reduction against earlier tiles' pivots
+  std::uint64_t phase2_ns = 0;   // in-tile panel insertion
+  std::uint64_t persist_ns = 0;  // segment write and checkpoint write
 };
 
 // Runs (or resumes) the tiled elimination described above. Throws
@@ -126,6 +143,14 @@ struct TiledRankReport {
 // when even one tile cannot fit the budget, CheckpointError for a missing,
 // corrupt, or mismatched checkpoint on --resume.
 TiledRankReport tiled_partition_rank(const TiledRankConfig& config);
+
+// rank(M_n) over the field, from the closed form: Lindström's theorem gives
+// M_n = Z·diag(μ(π, 1̂))·Zᵀ with Z the (unitriangular) zeta matrix of the
+// partition lattice and μ(π, 1̂) = (-1)^{k-1}(k-1)! for π with k blocks,
+// which vanishes mod p exactly when k > p. So the rank over GF(p) is
+// Σ_{k <= min(n, p)} S(n, k): 2^{n-1} over GF(2), B_n for a prime p >= n.
+// `prime` is ignored for GF(2) and must be a prime otherwise.
+std::size_t closed_form_join_rank(std::size_t n, RankField field, std::uint64_t prime);
 
 // Rank of a single generated tile over the configured field, standalone
 // (pivots from that tile only). Pure function of (n, field, prime,

@@ -22,6 +22,8 @@ void appendf(std::string& out, const char* fmt, Args... args) {
 // Tracks the unique global best under the (err_scaled, serialization)
 // order, and enforces the anomaly policy on every strict improvement.
 struct BestTracker {
+  explicit BestTracker(const FitnessOracle& o) : oracle(o) {}
+
   const FitnessOracle& oracle;
   StrategyTable best;
   FitnessResult best_score;
@@ -63,7 +65,7 @@ SearchOutcome outcome_of(const BestTracker& tracker, std::uint64_t evaluated) {
 SearchOutcome random_driver(const SearchConfig& config, const FitnessOracle& oracle,
                             const BatchRunner& runner) {
   Rng rng(config.seed);
-  BestTracker tracker{oracle};
+  BestTracker tracker(oracle);
   for (std::uint64_t i = 0; i < config.budget; ++i) {
     const StrategyTable table = random_strategy(static_cast<std::uint32_t>(config.n),
                                                 config.rounds, config.buckets, rng);
@@ -77,7 +79,7 @@ SearchOutcome evolution_driver(const SearchConfig& config, const FitnessOracle& 
   Rng rng(config.seed);
   const std::size_t pop_size =
       std::max<std::size_t>(2, std::min<std::uint64_t>(config.population, config.budget));
-  BestTracker tracker{oracle};
+  BestTracker tracker(oracle);
 
   struct Member {
     StrategyTable table;
@@ -159,7 +161,7 @@ SearchOutcome exhaustive_driver(const SearchConfig& config, const FitnessOracle&
   table.broadcast.assign(cells, kActSilent);
   table.vote_no.assign(config.buckets, 0);
 
-  BestTracker tracker{oracle};
+  BestTracker tracker(oracle);
   std::uint64_t evaluated = 0;
   // Odometer enumeration: broadcast cells (base 3) are the low digits, vote
   // cells (base 2) the high ones; ascending order is deterministic and makes

@@ -161,7 +161,9 @@ TEST(RankCrossCheck, Gf2VsModpOnRandomJoinSubmatrices) {
     const std::size_t r2 = Gf2Matrix::from_bool_matrix(sub).rank();
     const std::size_t rp = ModpMatrix::from_bool_matrix(sub, kPrime30A).rank();
     EXPECT_LE(r2, rp) << "trial " << trial << " dim " << keep.size();
-    if (r2 == keep.size()) EXPECT_EQ(rp, keep.size());
+    if (r2 == keep.size()) {
+      EXPECT_EQ(rp, keep.size());
+    }
   }
 }
 

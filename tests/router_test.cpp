@@ -208,7 +208,9 @@ TEST(Rendezvous, RemovingABackendOnlyRemapsItsOwnKeys) {
     // that preserves the rest of the fleet's cache locality.
     for (std::size_t removed = 0; removed < 4; ++removed) {
       std::size_t surviving_owner = order[0] == removed ? order[1] : order[0];
-      if (removed != owner) EXPECT_EQ(surviving_owner, owner);
+      if (removed != owner) {
+        EXPECT_EQ(surviving_owner, owner);
+      }
     }
   }
 }

@@ -1,7 +1,7 @@
 // Out-of-core tiled rank (linalg/tiled_rank.h): tile generation vs the dense
-// join matrix, tiled rank vs the dense eliminators, thread/tiling
-// invariance, checkpointed kill-free resume identity, corruption detection,
-// and memory-budget behaviour.
+// join matrix, tiled rank vs the dense eliminators and the closed form,
+// pinned certificates, thread/tiling invariance, checkpointed kill-free
+// resume identity, corruption detection, and memory-budget behaviour.
 
 #include "linalg/tiled_rank.h"
 
@@ -101,6 +101,7 @@ TEST(TiledRank, Gf2MatchesDenseUpToM8) {
     EXPECT_TRUE(report.complete);
     EXPECT_EQ(report.rank, dense_rank) << "n=" << n;
     EXPECT_EQ(report.rank, std::size_t{1} << (n - 1)) << "n=" << n;
+    EXPECT_EQ(report.rank, closed_form_join_rank(n, RankField::kGf2, 0)) << "n=" << n;
     EXPECT_EQ(report.dimension, bell_number_u64(n));
   }
 }
@@ -116,7 +117,87 @@ TEST(TiledRank, ModpMatchesDenseUpToM7) {
     // the determinantal divisors.
     EXPECT_TRUE(report.full_rank) << "n=" << n;
     EXPECT_EQ(report.rank, bell_number_u64(n));
+    EXPECT_EQ(report.rank, closed_form_join_rank(n, RankField::kModp, kPrime30A)) << "n=" << n;
   }
+}
+
+TEST(ClosedFormRank, SumsStirlingNumbersUpToThePrime) {
+  for (std::size_t n = 1; n <= 9; ++n) {
+    EXPECT_EQ(closed_form_join_rank(n, RankField::kGf2, 0), std::size_t{1} << (n - 1));
+    EXPECT_EQ(closed_form_join_rank(n, RankField::kModp, 2), std::size_t{1} << (n - 1));
+    EXPECT_EQ(closed_form_join_rank(n, RankField::kModp, kPrime30A), bell_number_u64(n));
+  }
+  EXPECT_EQ(closed_form_join_rank(7, RankField::kModp, 3), 365u);
+  EXPECT_EQ(closed_form_join_rank(8, RankField::kModp, 3), 1094u);
+  EXPECT_EQ(closed_form_join_rank(9, RankField::kModp, 3), 3281u);
+  EXPECT_EQ(closed_form_join_rank(7, RankField::kModp, 5), 855u);
+  EXPECT_EQ(closed_form_join_rank(8, RankField::kModp, 5), 3845u);
+  EXPECT_EQ(closed_form_join_rank(5, RankField::kModp, 7), bell_number_u64(5));
+}
+
+// Certificates of the tiled engine as checked in, so that a wrong or
+// thread-dependent pivot set fails ctest before it reaches a benchmark.
+struct PinnedCertificate {
+  std::size_t n;
+  RankField field;
+  std::uint64_t prime;
+  std::size_t tile_rows;
+  unsigned threads;
+  std::size_t rank;
+  const char* digest;
+};
+
+void expect_pinned(const PinnedCertificate& pin) {
+  TiledRankConfig cfg = base_config(pin.n, pin.field, pin.tile_rows);
+  cfg.prime = pin.prime;
+  cfg.threads = pin.threads;
+  const TiledRankReport report = tiled_partition_rank(cfg);
+  const std::string where = "M_" + std::to_string(pin.n) + " " + rank_field_name(pin.field) +
+                            " p=" + std::to_string(pin.prime) + " K=" +
+                            std::to_string(pin.tile_rows) + " threads=" +
+                            std::to_string(pin.threads);
+  EXPECT_TRUE(report.complete) << where;
+  EXPECT_EQ(report.rank, pin.rank) << where;
+  EXPECT_EQ(report.rank, closed_form_join_rank(pin.n, pin.field, pin.prime)) << where;
+  EXPECT_EQ(report.certificate_digest, pin.digest) << where;
+}
+
+TEST(TiledRank, PinnedCertificatesAtOneAndFourThreads) {
+  const PinnedCertificate pins[] = {
+      {8, RankField::kModp, kPrime30A, 512, 0, 4140, "591fc96bfc1e3cb1"},
+      {8, RankField::kModp, kPrime30A, 300, 0, 4140, "956802aed3b7f85e"},
+      {7, RankField::kModp, kPrime30A, 100, 0, 877, "5b11029cd53eb25c"},
+      {7, RankField::kModp, kPrime30A, 64, 0, 877, "570c1d66a6d310c3"},
+      {7, RankField::kGf2, 0, 64, 0, 64, "e7ccd4bb303ddf0d"},
+  };
+  for (PinnedCertificate pin : pins) {
+    for (const unsigned threads : {1u, 4u}) {
+      pin.threads = threads;
+      expect_pinned(pin);
+    }
+  }
+}
+
+TEST(TiledRank, SmallPrimesLoseRankAsTheClosedFormSays) {
+  // Over GF(3) and GF(5) most tile rows reduce to zero, so these runs send
+  // rank-deficient panels through the in-tile insertion.
+  const PinnedCertificate pins[] = {
+      {7, RankField::kModp, 3, 512, 1, 365, "c3dce42e73100acc"},
+      {7, RankField::kModp, 3, 512, 4, 365, "c3dce42e73100acc"},
+      {8, RankField::kModp, 3, 512, 4, 1094, "fbf967dd8c90f25e"},
+      {7, RankField::kModp, 5, 512, 1, 855, "489ef917145a31dc"},
+      {7, RankField::kModp, 5, 512, 4, 855, "489ef917145a31dc"},
+      {8, RankField::kModp, 5, 512, 4, 3845, "dd6bc0c5b88c1543"},
+  };
+  for (const PinnedCertificate& pin : pins) expect_pinned(pin);
+}
+
+TEST(TiledRank, RefusesACompositeModulus) {
+  TiledRankConfig cfg = base_config(5, RankField::kModp, 16);
+  cfg.prime = 9;
+  EXPECT_THROW(tiled_partition_rank(cfg), std::invalid_argument);
+  cfg.prime = 1ULL << 30;
+  EXPECT_THROW(tiled_partition_rank(cfg), std::invalid_argument);
 }
 
 TEST(TiledRank, BothPrimesAgree) {
@@ -180,10 +261,17 @@ TEST(TiledRank, CheckpointedRunResumesBitIdentical) {
   EXPECT_EQ(resumed.rank, uninterrupted.rank);
   EXPECT_EQ(resumed.certificate_digest, uninterrupted.certificate_digest);
 
+  // Every phase of a run that eliminated tiles took measurable time.
+  EXPECT_GT(resumed.gen_ns, 0u);
+  EXPECT_GT(resumed.phase1_ns, 0u);
+  EXPECT_GT(resumed.phase2_ns, 0u);
+  EXPECT_GT(resumed.persist_ns, 0u);
+
   // Resuming a finished run is a no-op that reports the same certificate.
   const TiledRankReport again = tiled_partition_rank(cfg);
   EXPECT_TRUE(again.complete);
   EXPECT_EQ(again.tiles_run, 0u);
+  EXPECT_EQ(again.gen_ns + again.phase1_ns + again.phase2_ns + again.persist_ns, 0u);
   EXPECT_EQ(again.rank, uninterrupted.rank);
   EXPECT_EQ(again.certificate_digest, uninterrupted.certificate_digest);
 }

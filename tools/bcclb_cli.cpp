@@ -284,6 +284,16 @@ int cmd_rank_tiled(int argc, char** argv) {
     return 0;
   }
 
+  // The closed form is the oracle: an elimination that lost or gained a
+  // pivot must not print a certificate.
+  const std::size_t expected = closed_form_join_rank(config.n, config.field, config.prime);
+  if (report.rank != expected) {
+    throw VerifierAnomalyError("rank: M_" + std::to_string(config.n) + " eliminated to rank " +
+                               std::to_string(report.rank) + " over " +
+                               rank_field_name(config.field) + ", but the closed form gives " +
+                               std::to_string(expected));
+  }
+
   char certificate[512];
   std::snprintf(certificate, sizeof(certificate),
                 "bcclb rank certificate v1\n"
@@ -302,9 +312,13 @@ int cmd_rank_tiled(int argc, char** argv) {
                 config.tile_rows, report.tiles_total, report.rank,
                 report.full_rank ? "yes" : "no", report.certificate_digest.c_str());
   std::fputs(certificate, stdout);
-  std::printf("tiles run %zu, resumed %zu; peak resident %.1f MiB; wall %.3f s\n",
+  const auto secs = [](std::uint64_t ns) { return static_cast<double>(ns) * 1e-9; };
+  std::printf("tiles run %zu, resumed %zu; peak resident %.1f MiB; wall %.3f s "
+              "(gen %.3f, phase1 %.3f, phase2 %.3f, persist %.3f s)\n",
               report.tiles_run, report.tiles_resumed,
-              static_cast<double>(report.peak_resident_bytes) / (1024.0 * 1024.0), wall_s);
+              static_cast<double>(report.peak_resident_bytes) / (1024.0 * 1024.0), wall_s,
+              secs(report.gen_ns), secs(report.phase1_ns), secs(report.phase2_ns),
+              secs(report.persist_ns));
   if (!config.dir.empty()) {
     const std::string path = config.dir + "/rank.txt";
     write_file_atomic(path, certificate);
