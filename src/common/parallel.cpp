@@ -1,5 +1,6 @@
 #include "common/parallel.h"
 
+#include <algorithm>
 #include <exception>
 #include <thread>
 #include <vector>
@@ -51,6 +52,21 @@ void parallel_for_blocks(std::size_t count, unsigned threads,
   for (const std::exception_ptr& e : errors) {
     if (e) std::rethrow_exception(e);
   }
+}
+
+void parallel_for_interleaved(std::size_t count, std::size_t chunk, unsigned threads,
+                              const std::function<void(const InterleavedShare&)>& body) {
+  if (count == 0) return;
+  if (chunk == 0) chunk = 1;
+  if (threads == 0) threads = default_parallel_threads();
+  const std::size_t chunks = (count - 1) / chunk + 1;
+  const std::size_t workers = std::min<std::size_t>(threads, chunks);
+  parallel_for_blocks(workers, static_cast<unsigned>(workers),
+                      [&](std::size_t begin, std::size_t end) {
+                        for (std::size_t w = begin; w < end; ++w) {
+                          body(InterleavedShare{count, chunk, w, workers});
+                        }
+                      });
 }
 
 }  // namespace bcclb

@@ -29,4 +29,32 @@ unsigned default_parallel_threads();
 void parallel_for_blocks(std::size_t count, unsigned threads,
                          const std::function<void(std::size_t, std::size_t)>& body);
 
+// One worker's share of parallel_for_interleaved: the chunks worker,
+// worker + workers, worker + 2 * workers, ... of [0, count), each `chunk`
+// elements long except a ragged last one.
+struct InterleavedShare {
+  std::size_t count = 0;
+  std::size_t chunk = 1;
+  std::size_t worker = 0;
+  std::size_t workers = 1;
+
+  // body(begin, end) for each of this worker's chunks, in ascending order.
+  template <class Body>
+  void for_each_chunk(Body&& body) const {
+    for (std::size_t b = worker * chunk; b < count; b += workers * chunk) {
+      body(b, b + chunk < count ? b + chunk : count);
+    }
+  }
+};
+
+// Deals [0, count) round-robin to the workers in chunks of `chunk`
+// elements and runs body(share) once per worker. Use it instead of
+// parallel_for_blocks when the cost per element is uneven along the range:
+// every worker then gets a slice of every region. The deal is a pure
+// function of (count, chunk, threads); threads == 0 means
+// default_parallel_threads(), and one worker (or a single chunk) runs
+// inline. Exceptions propagate as in parallel_for_blocks.
+void parallel_for_interleaved(std::size_t count, std::size_t chunk, unsigned threads,
+                              const std::function<void(const InterleavedShare&)>& body);
+
 }  // namespace bcclb

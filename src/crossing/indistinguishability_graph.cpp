@@ -86,6 +86,12 @@ class PackedIndex {
 
 }  // namespace
 
+// Crossing tests below which the build does not fan out. With every edge
+// active that is n <= 7 (360 one-cycles x 21 pairs = 7560 tests), where a
+// 4-thread build took longer than a serial one; n = 8 (70560 tests) gains
+// from the workers.
+constexpr std::size_t kSerialCrossingTests = 16384;
+
 IndistinguishabilityGraph build_indistinguishability_graph(
     std::vector<CycleStructure> one_cycles, std::vector<CycleStructure> two_cycles,
     const ActiveEdgeTable& active, unsigned num_threads) {
@@ -107,18 +113,23 @@ IndistinguishabilityGraph build_indistinguishability_graph(
   // merge below reads rows in index order regardless of which worker filled
   // them.
   std::size_t cap = 1;
+  std::size_t pairs = 0;  // crossing tests in the whole build
   for (std::size_t i = 0; i < v1; ++i) {
     const std::size_t d = active.offsets[i + 1] - active.offsets[i];
     cap = std::max(cap, d * (d - 1) / 2);
+    pairs += d * (d - 1) / 2;
   }
   std::vector<std::uint32_t> scratch(v1 * cap);
   std::vector<std::uint32_t> counts(v1, 0);
 
   // Shard contiguous one-cycle ranges across the BatchRunner pool. Every
   // row's result depends only on its own index, so any shard count (and
-  // hence any thread count) produces the same bytes.
+  // hence any thread count) produces the same bytes. Below
+  // kSerialCrossingTests the build runs as one inline shard: starting the
+  // workers costs more than the crossing tests they would share.
   const BatchRunner runner(num_threads);
-  const std::size_t shards = std::min<std::size_t>(runner.num_threads(), v1);
+  const std::size_t shards =
+      pairs < kSerialCrossingTests ? 1 : std::min<std::size_t>(runner.num_threads(), v1);
   const std::size_t base = v1 / shards;
   const std::size_t extra = v1 % shards;
   runner.for_each(shards, [&](std::size_t w) {

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -30,44 +31,131 @@ std::string_view bytes_view(const std::vector<std::uint64_t>& words) {
 // ---- join kernel -------------------------------------------------------------
 //
 // M_n(i, j) = 1 iff P_i ∨ P_j is the one-block partition, iff the blocks of
-// P_j connect all k blocks of P_i: union-find over P_i's block indices,
-// seeded by one scan of P_j's RGS. Allocation-free per column — the scratch
-// arrays are reused and reset in O(n).
+// P_j connect all k blocks of P_i. A row fixes σ = P_i and walks the column
+// RGS strings depth first, children in ascending digit order — which is
+// RGS-lex order, so column j is the j-th leaf. A rollback union-find over
+// σ's blocks carries the prefix: placing element e in an open column block
+// v unites v's component with σ-block σ(e) (one union per trie edge, undone
+// on backtrack); opening a new block unites nothing. A prefix with m
+// elements left and maximum digit a owns D(m, a) consecutive columns
+// (partition/unrank.h), so two cases end a subtree early:
+//   - one component left: every completion connects, a run of 1s;
+//   - components - 1 > m: each element unites at most two components, so
+//     no completion connects, a run of 0s (the row starts zeroed).
+// Every bit stays a pure function of (i, j).
 
-std::uint32_t uf_find(std::vector<std::uint32_t>& parent, std::uint32_t x) {
-  while (parent[x] != x) {
-    parent[x] = parent[parent[x]];  // path halving
-    x = parent[x];
+// Sets bits [lo, lo + len) of `out`, len >= 1, a word at a time.
+void fill_ones(std::uint64_t* out, std::uint64_t lo, std::uint64_t len) {
+  const std::uint64_t hi = lo + len;
+  const std::uint64_t w0 = lo / 64;
+  const std::uint64_t w1 = hi / 64;
+  if (w0 == w1) {
+    out[w0] |= ((1ULL << len) - 1) << (lo % 64);
+    return;
   }
-  return x;
+  out[w0] |= ~0ULL << (lo % 64);
+  for (std::uint64_t w = w0 + 1; w < w1; ++w) out[w] = ~0ULL;
+  if (hi % 64 != 0) out[w1] |= (1ULL << (hi % 64)) - 1;
 }
 
-// `first[qb]` caches the representative of the first P_i-block seen inside
-// Q-block qb; -1 = not seen yet. Both scratch vectors are sized n.
-bool join_is_coarsest(const std::vector<std::uint32_t>& p_rgs, std::uint32_t p_blocks,
-                      const std::vector<std::uint32_t>& q_rgs,
-                      std::vector<std::uint32_t>& parent, std::vector<std::int32_t>& first) {
-  if (p_blocks <= 1) return true;
-  const std::size_t n = p_rgs.size();
-  for (std::uint32_t b = 0; b < p_blocks; ++b) parent[b] = b;
-  std::fill(first.begin(), first.begin() + static_cast<std::ptrdiff_t>(n), -1);
-  std::uint32_t components = p_blocks;
-  for (std::size_t e = 0; e < n; ++e) {
-    const std::uint32_t qb = q_rgs[e];
-    const std::uint32_t pb = uf_find(parent, p_rgs[e]);
-    if (first[qb] < 0) {
-      first[qb] = static_cast<std::int32_t>(pb);
-    } else {
-      const std::uint32_t other = uf_find(parent, static_cast<std::uint32_t>(first[qb]));
-      if (other != pb) {
-        parent[other] = pb;
-        first[qb] = static_cast<std::int32_t>(pb);
-        if (--components == 1) return true;
-      }
+class JoinRowWalker {
+ public:
+  explicit JoinRowWalker(std::size_t n) : n_(n) {
+    for (std::size_t m = 0; m < n; ++m) {
+      for (std::size_t a = 0; m + a < n; ++a) d_[m][a] = rgs_extension_count(m, a);
     }
   }
-  return components == 1;
-}
+
+  // ORs row σ of M_n into `out` (B_n bits, zeroed by the caller).
+  void fill_row(const std::vector<std::uint32_t>& sigma, std::uint64_t* out) {
+    std::uint32_t blocks = 0;
+    for (std::size_t e = 0; e < n_; ++e) {
+      sigma_[e] = static_cast<std::uint8_t>(sigma[e]);
+      blocks = std::max(blocks, sigma[e] + 1);
+    }
+    if (blocks == 1) {  // σ is the one-block partition: the row is all 1s
+      fill_ones(out, 0, d_[n_ - 1][0]);
+      return;
+    }
+    for (std::uint32_t b = 0; b < blocks; ++b) {
+      parent_[b] = static_cast<std::uint8_t>(b);
+      size_[b] = 1;
+    }
+    components_ = blocks;
+    out_ = out;
+    col_ = 0;
+    first_[0] = sigma_[0];  // element 0 always opens column block 0
+    walk(1, 0);
+  }
+
+ private:
+  std::uint32_t find(std::uint32_t x) const {
+    while (parent_[x] != x) x = parent_[x];
+    return x;
+  }
+
+  // Visits the subtree below a prefix of elements [0, e) with maximum
+  // digit a. On entry components_ >= 2 and components_ - 1 <= n - e.
+  void walk(std::size_t e, std::uint32_t a) {
+    const std::size_t m = n_ - 1 - e;  // elements left after e
+    const std::uint32_t pb = find(sigma_[e]);
+    if (m == 0) {
+      // Exactly two components: the last element connects them iff its
+      // column block holds the other one. A new block connects nothing.
+      for (std::uint32_t v = 0; v <= a; ++v, ++col_) {
+        if (find(first_[v]) != pb) out_[col_ / 64] |= 1ULL << (col_ % 64);
+      }
+      ++col_;
+      return;
+    }
+    for (std::uint32_t v = 0; v <= a; ++v) {
+      const std::uint32_t r = find(first_[v]);
+      if (r == pb) {
+        descend(e, a, m);
+        continue;
+      }
+      // Union by size, no path compression, so the undo is one link.
+      const std::uint32_t child = size_[r] < size_[pb] ? r : pb;
+      const std::uint32_t root = child == r ? pb : r;
+      parent_[child] = static_cast<std::uint8_t>(root);
+      size_[root] = static_cast<std::uint8_t>(size_[root] + size_[child]);
+      --components_;
+      descend(e, a, m);
+      ++components_;
+      size_[root] = static_cast<std::uint8_t>(size_[root] - size_[child]);
+      parent_[child] = static_cast<std::uint8_t>(child);
+    }
+    first_[a + 1] = static_cast<std::uint8_t>(pb);
+    descend(e, a + 1, m);
+  }
+
+  // Element e is placed and the prefix's maximum digit is now a: fill,
+  // skip, or walk its D(m, a) columns.
+  void descend(std::size_t e, std::uint32_t a, std::size_t m) {
+    const std::uint64_t span = d_[m][a];
+    if (components_ == 1) {
+      fill_ones(out_, col_, span);
+    } else if (components_ - 1 <= m) {
+      walk(e + 1, a);
+      return;
+    }
+    col_ += span;
+  }
+
+  std::size_t n_;
+  std::uint64_t d_[kMaxUnrankN][kMaxUnrankN] = {};  // d_[m][a] = D(m, a), m + a < n
+  std::uint8_t sigma_[kMaxUnrankN] = {};
+  std::uint8_t parent_[kMaxUnrankN] = {};  // over σ's blocks
+  std::uint8_t size_[kMaxUnrankN] = {};
+  std::uint8_t first_[kMaxUnrankN] = {};   // column block -> a σ-block it holds
+  std::uint32_t components_ = 0;
+  std::uint64_t col_ = 0;
+  std::uint64_t* out_ = nullptr;
+};
+
+// Rows per chunk when generation deals a tile's rows to the workers; each
+// chunk costs one unrank.
+constexpr std::size_t kGenRowChunk = 8;
 
 }  // namespace
 
@@ -99,28 +187,20 @@ JoinTile generate_join_tile(std::size_t n, std::size_t row_lo, std::size_t row_h
     tile.digest = fnv1a(bytes_view(tile.bits));
     return tile;
   }
-  // Rows shard across threads; each worker unranks its first row once and
-  // advances with next_rgs, streaming its own column sweep. Every bit is a
-  // pure function of (row index, column index), so the packed words are
-  // identical at any thread count.
-  parallel_for_blocks(tile.rows, threads, [&](std::size_t begin, std::size_t end) {
+  // Rows go to the workers in interleaved chunks, since a row's cost
+  // depends on how fine σ is. Each chunk unranks its first row and
+  // advances with next_rgs; every bit is a pure function of (row index,
+  // column index), so the packed words are identical at any thread count.
+  parallel_for_interleaved(tile.rows, kGenRowChunk, threads, [&](const InterleavedShare& share) {
+    JoinRowWalker walker(n);
     std::vector<std::uint32_t> row_rgs;
-    unrank_rgs(n, row_lo + begin, row_rgs);
-    std::vector<std::uint32_t> col_rgs(n, 0);
-    std::vector<std::uint32_t> parent(n);
-    std::vector<std::int32_t> first(n);
-    for (std::size_t r = begin; r < end; ++r) {
-      if (r > begin) next_rgs(row_rgs);
-      const std::uint32_t p_blocks = *std::max_element(row_rgs.begin(), row_rgs.end()) + 1;
-      std::uint64_t* out = &tile.bits[r * tile.words_per_row];
-      std::fill(col_rgs.begin(), col_rgs.end(), 0);
-      for (std::size_t j = 0; j < tile.cols; ++j) {
-        if (join_is_coarsest(row_rgs, p_blocks, col_rgs, parent, first)) {
-          out[j / 64] |= 1ULL << (j % 64);
-        }
-        if (j + 1 < tile.cols) next_rgs(col_rgs);
+    share.for_each_chunk([&](std::size_t begin, std::size_t end) {
+      unrank_rgs(n, row_lo + begin, row_rgs);
+      for (std::size_t r = begin; r < end; ++r) {
+        if (r > begin) next_rgs(row_rgs);
+        walker.fill_row(row_rgs, &tile.bits[r * tile.words_per_row]);
       }
-    }
+    });
   });
   for (const std::uint64_t w : tile.bits) {
     tile.ones += static_cast<std::uint64_t>(__builtin_popcountll(w));
@@ -138,6 +218,14 @@ namespace {
 // u32 entries for mod p). The disk store keeps RAM bounded — reduction
 // streams row ranges through one chunk buffer; the memory store backs
 // directory-less runs (tests, small n).
+
+// Sizes a chunk buffer for `bytes` of rows that the caller then copies in.
+// Only the padding of the last word is cleared: zero-filling the whole
+// chunk first would be a second serial pass over it.
+void size_chunk(std::vector<std::uint64_t>& out, std::size_t bytes) {
+  out.resize((bytes + 7) / 8);
+  if (bytes % 8 != 0) out.back() = 0;
+}
 
 class PivotStore {
  public:
@@ -172,7 +260,7 @@ class MemoryPivotStore final : public PivotStore {
                  std::size_t row_bytes, std::vector<std::uint64_t>& out) override {
     const std::string& seg = segments_[ordinal];
     const std::size_t bytes = (row_end - row_begin) * row_bytes;
-    out.assign((bytes + 7) / 8, 0);
+    size_chunk(out, bytes);
     std::memcpy(out.data(), seg.data() + row_begin * row_bytes, bytes);
   }
 
@@ -216,7 +304,7 @@ class DiskPivotStore final : public PivotStore {
     if (!in) throw CheckpointError("tiled rank: cannot open segment " + path);
     const std::size_t bytes = (row_end - row_begin) * row_bytes;
     in.seekg(static_cast<std::streamoff>(row_begin * row_bytes));
-    out.assign((bytes + 7) / 8, 0);
+    size_chunk(out, bytes);
     in.read(reinterpret_cast<char*>(out.data()), static_cast<std::streamsize>(bytes));
     if (static_cast<std::size_t>(in.gcount()) != bytes) {
       throw CheckpointError("tiled rank: short read from segment " + path);
@@ -336,18 +424,29 @@ void gf2_reduce_rows(std::uint64_t* work, std::size_t rows, std::size_t words,
 // q_i[c_j]) mod p, then applies r -= sum f_j q_j with raw u64 accumulation:
 // 8 products below 2^60 plus carries stay below 2^63, so one % p per entry
 // per batch. The sweep visits only the batch's support — the columns where
-// some q_j is nonzero, found once per batch by the first row that needs it —
-// since every other column has acc == 0 and stays as it is; M_8's pivot
-// rows are about 1% nonzero. One fan-out per call: each worker walks every
-// batch over its own row block, so each row sees the same arithmetic in the
-// same order at any thread count. Modular arithmetic is exact, so batching
-// and chunking cannot change the reduced row either. rows == 1 runs inline.
+// some q_j is nonzero — since every other column has acc == 0 and stays as
+// it is; M_8's pivot rows are about 1% nonzero. A batch's support is found
+// once, by the first row of any worker that needs it, and shared as a
+// bitmask (a column list is faster to sweep but holds more memory). One
+// fan-out per call: each worker walks every batch over its own rows, so
+// each row sees the same arithmetic in the same order at any thread count.
+// The rows are dealt in interleaved chunks of kReduceRowChunk, because how
+// many batches touch a row varies along the tile. Modular arithmetic is
+// exact, so batching and chunking cannot change the reduced row either.
+// rows == 1 runs inline.
+constexpr std::size_t kReduceRowChunk = 8;
+
+struct BatchSupport {
+  std::once_flag found;
+  std::vector<std::uint64_t> cols;  // bit x: some pivot of the batch is nonzero at x
+};
+
 void modp_reduce_rows(std::uint32_t* work, std::size_t rows, std::size_t cols, std::uint64_t p,
                       const std::uint32_t* pivots, const std::uint64_t* pivot_cols,
                       std::size_t count, unsigned threads) {
   if (count == 0) return;
-  parallel_for_blocks(rows, threads, [&](std::size_t begin, std::size_t end) {
-    std::vector<std::uint32_t> support;  // empty until a row of this batch needs it
+  std::vector<BatchSupport> supports((count + kBatch - 1) / kBatch);
+  parallel_for_interleaved(rows, kReduceRowChunk, threads, [&](const InterleavedShare& share) {
     for (std::size_t b = 0; b < count; b += kBatch) {
       const std::size_t s = std::min(kBatch, count - b);
       const std::uint32_t* q[kBatch];
@@ -356,36 +455,42 @@ void modp_reduce_rows(std::uint32_t* work, std::size_t rows, std::size_t cols, s
         q[j] = pivots + (b + j) * cols;
         c[j] = pivot_cols[b + j];
       }
-      support.clear();
-      for (std::size_t r = begin; r < end; ++r) {
-        std::uint32_t* row = work + r * cols;
-        std::uint64_t f[kBatch] = {0, 0, 0, 0, 0, 0, 0, 0};
-        bool any = false;
-        for (std::size_t j = 0; j < s; ++j) {
-          std::uint64_t acc = 0;
-          for (std::size_t i = 0; i < j; ++i) acc += f[i] * q[i][c[j]];
-          const std::uint64_t sub = acc % p;
-          const std::uint64_t rv = row[c[j]];
-          f[j] = rv >= sub ? rv - sub : rv + p - sub;
-          any = any || f[j] != 0;
-        }
-        if (!any) continue;
-        if (support.empty()) {
-          for (std::size_t x = 0; x < cols; ++x) {
-            std::uint32_t nz = 0;
-            for (std::size_t j = 0; j < s; ++j) nz |= q[j][x];
-            if (nz != 0) support.push_back(static_cast<std::uint32_t>(x));
+      BatchSupport& support = supports[b / kBatch];
+      share.for_each_chunk([&](std::size_t begin, std::size_t end) {
+        for (std::size_t r = begin; r < end; ++r) {
+          std::uint32_t* row = work + r * cols;
+          std::uint64_t f[kBatch] = {0, 0, 0, 0, 0, 0, 0, 0};
+          bool any = false;
+          for (std::size_t j = 0; j < s; ++j) {
+            std::uint64_t acc = 0;
+            for (std::size_t i = 0; i < j; ++i) acc += f[i] * q[i][c[j]];
+            const std::uint64_t sub = acc % p;
+            const std::uint64_t rv = row[c[j]];
+            f[j] = rv >= sub ? rv - sub : rv + p - sub;
+            any = any || f[j] != 0;
+          }
+          if (!any) continue;
+          std::call_once(support.found, [&] {
+            support.cols.assign((cols + 63) / 64, 0);
+            for (std::size_t x = 0; x < cols; ++x) {
+              std::uint32_t nz = 0;
+              for (std::size_t j = 0; j < s; ++j) nz |= q[j][x];
+              if (nz != 0) support.cols[x / 64] |= 1ULL << (x % 64);
+            }
+          });
+          for (std::size_t w = 0; w < support.cols.size(); ++w) {
+            for (std::uint64_t bits = support.cols[w]; bits != 0; bits &= bits - 1) {
+              const std::size_t x = w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
+              std::uint64_t acc = 0;
+              for (std::size_t j = 0; j < s; ++j) acc += f[j] * q[j][x];
+              if (acc == 0) continue;
+              const std::uint64_t sub = acc % p;
+              const std::uint64_t v = row[x];
+              row[x] = static_cast<std::uint32_t>(v >= sub ? v - sub : v + p - sub);
+            }
           }
         }
-        for (const std::uint32_t x : support) {
-          std::uint64_t acc = 0;
-          for (std::size_t j = 0; j < s; ++j) acc += f[j] * q[j][x];
-          if (acc == 0) continue;
-          const std::uint64_t sub = acc % p;
-          const std::uint64_t v = row[x];
-          row[x] = static_cast<std::uint32_t>(v >= sub ? v - sub : v + p - sub);
-        }
-      }
+      });
     }
   });
 }

@@ -7,12 +7,17 @@
 // elimination:
 //
 //   tile t = rows [t*K, t*K + K)        (K = tile_rows)
-//     1. generate_join_tile: unrank row lo (partition/unrank.h), stream the
-//        K row partitions with next_rgs, and for each row sweep all B_n
-//        column partitions with an allocation-free union-find join kernel,
-//        packing M_n(i, j) bits 64 per word. Rows shard across threads
-//        (common/parallel.h); every bit is a pure function of (i, j), so
-//        the tile is identical at any BCCLB_THREADS.
+//     1. generate_join_tile: each row fixes σ = P_i and walks the trie of
+//        column RGS strings depth first in RGS-lex order, carrying a
+//        rollback union-find over σ's blocks — one union per trie edge, one
+//        undo on backtrack. A subtree whose prefix already connects σ is a
+//        run of D(m, a) 1-columns (partition/unrank.h), filled a word at a
+//        time; one with more than m + 1 components left cannot connect and
+//        is skipped. Bits pack 64 columns per word. Rows go to the workers
+//        in interleaved chunks of 8 (common/parallel.h), each chunk
+//        unranking its first row and stepping with next_rgs; every bit is
+//        a pure function of (i, j), so the tile is identical at any
+//        BCCLB_THREADS.
 //     2. phase 1: reduce the tile against every pivot row discovered by
 //        earlier tiles. Pivots stream through a bounded chunk buffer (sized
 //        from the memory budget) in global insertion order, applied in
@@ -24,7 +29,7 @@
 //                   columns where the batch is nonzero, and a single % p
 //                   per entry per 8 pivots (8 * (2^30)^2 fits u64). The
 //                   rows fan out once per chunk: each worker walks every
-//                   batch over its own row block.
+//                   batch over its own rows, dealt in interleaved chunks.
 //        Field arithmetic is exact, so the result is independent of
 //        batching, chunking, and thread count.
 //     3. phase 2, in-tile insertion in panels of 8 rows, one loop for

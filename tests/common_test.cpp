@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -360,6 +361,54 @@ TEST(ParallelForBlocks, ParallelSumBitIdenticalToSerial) {
   parallel_for_blocks(count, 1, fill(serial));
   parallel_for_blocks(count, 7, fill(parallel));
   EXPECT_EQ(serial, parallel);
+}
+
+// Every (worker, begin, end) chunk parallel_for_interleaved hands out.
+std::vector<std::array<std::size_t, 3>> record_interleaved(std::size_t count, std::size_t chunk,
+                                                           unsigned threads) {
+  std::mutex m;
+  std::vector<std::array<std::size_t, 3>> chunks;
+  parallel_for_interleaved(count, chunk, threads, [&](const InterleavedShare& share) {
+    share.for_each_chunk([&](std::size_t begin, std::size_t end) {
+      std::lock_guard<std::mutex> lock(m);
+      chunks.push_back({share.worker, begin, end});
+    });
+  });
+  std::sort(chunks.begin(), chunks.end(),
+            [](const auto& a, const auto& b) { return a[1] < b[1]; });
+  return chunks;
+}
+
+TEST(ParallelForInterleaved, DealsChunksRoundRobinAndCoversEveryIndexOnce) {
+  // 21 items in chunks of 4 over 3 workers: chunks 0..5, the last ragged.
+  const auto chunks = record_interleaved(21, 4, 3);
+  ASSERT_EQ(chunks.size(), 6u);
+  std::size_t expected_begin = 0;
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    EXPECT_EQ(chunks[c][0], c % 3) << "chunk " << c;
+    EXPECT_EQ(chunks[c][1], expected_begin);
+    EXPECT_EQ(chunks[c][2], std::min<std::size_t>(21, expected_begin + 4));
+    expected_begin = chunks[c][2];
+  }
+  EXPECT_EQ(expected_begin, 21u);
+  EXPECT_EQ(record_interleaved(21, 4, 3), chunks);  // a pure function of its inputs
+}
+
+TEST(ParallelForInterleaved, FewerChunksThanThreadsAndEmptyRanges) {
+  EXPECT_TRUE(record_interleaved(0, 8, 4).empty());
+  // 3 items, chunk 8, 8 threads: one chunk, so one worker, run inline.
+  const auto caller = std::this_thread::get_id();
+  std::thread::id body_thread;
+  std::size_t workers = 0;
+  parallel_for_interleaved(3, 8, 8, [&](const InterleavedShare& share) {
+    body_thread = std::this_thread::get_id();
+    workers = share.workers;
+  });
+  EXPECT_EQ(body_thread, caller);
+  EXPECT_EQ(workers, 1u);
+  const auto chunks = record_interleaved(5, 2, 8);  // 3 chunks -> 3 workers
+  ASSERT_EQ(chunks.size(), 3u);
+  EXPECT_EQ(chunks[2], (std::array<std::size_t, 3>{2, 4, 5}));
 }
 
 // ---- strict env parsing (common/env.h) --------------------------------------

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +17,8 @@
 #include "linalg/gf2_matrix.h"
 #include "partition/bell.h"
 #include "partition/join_matrix.h"
+#include "partition/set_partition.h"
+#include "partition/unrank.h"
 
 namespace bcclb {
 namespace {
@@ -58,9 +61,95 @@ TEST(JoinTile, MatchesDenseJoinMatrix) {
   }
 }
 
+// The oracle for the trie-walk kernel: the lattice join of SetPartition
+// (partition/set_partition.h), which shares no code with it. Column j is
+// unrank_partition(n, j); the columns are built once per n.
+class JoinOracle {
+ public:
+  explicit JoinOracle(std::size_t n) : n_(n) {
+    const std::uint64_t bell = bell_number_u64(n);
+    columns_.reserve(bell);
+    for (std::uint64_t j = 0; j < bell; ++j) columns_.push_back(unrank_partition(n, j));
+  }
+
+  // Checks rows [lo, hi) generated at `threads` entry by entry, plus the
+  // zero padding past the last column and the tile's ones count.
+  void expect_tile(std::size_t lo, std::size_t hi, unsigned threads) const {
+    const JoinTile tile = generate_join_tile(n_, lo, hi, threads);
+    ASSERT_EQ(tile.rows, hi - lo);
+    ASSERT_EQ(tile.cols, columns_.size());
+    std::uint64_t ones = 0;
+    for (std::size_t r = 0; r < tile.rows; ++r) {
+      const SetPartition row = unrank_partition(n_, lo + r);
+      for (std::size_t c = 0; c < tile.cols; ++c) {
+        const bool expect = row.join(columns_[c]).is_coarsest();
+        ones += expect ? 1 : 0;
+        ASSERT_EQ(tile.get(r, c), expect) << "n=" << n_ << " row " << lo + r << " col " << c
+                                          << " threads " << threads;
+      }
+      for (std::size_t c = tile.cols; c < tile.words_per_row * 64; ++c) {
+        ASSERT_FALSE(tile.get(r, c)) << "padding bit " << c << " of row " << lo + r;
+      }
+    }
+    EXPECT_EQ(tile.ones, ones);
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<SetPartition> columns_;
+};
+
+TEST(JoinTile, MatchesTheLatticeJoinOnAllOfMnUpTo7) {
+  for (std::size_t n = 1; n <= 7; ++n) {
+    const JoinOracle oracle(n);
+    oracle.expect_tile(0, bell_number_u64(n), 1);
+  }
+}
+
+TEST(JoinTile, MatchesTheLatticeJoinAcrossTileBoundariesAtN8AndN9) {
+  // Windows straddle the 512-row tile boundaries and end in the ragged last
+  // tile (M_8: rows [4096, 4140); M_9: rows [20992, 21147)).
+  const JoinOracle m8(8);
+  for (const auto& w : {std::array<std::size_t, 2>{500, 530}, {1020, 1030}, {2043, 2054},
+                        {4090, 4140}}) {
+    m8.expect_tile(w[0], w[1], 1);
+  }
+  const JoinOracle m9(9);
+  for (const auto& w : {std::array<std::size_t, 2>{509, 515}, {10748, 10756}, {20988, 20996},
+                        {21140, 21147}}) {
+    m9.expect_tile(w[0], w[1], 1);
+  }
+}
+
+TEST(JoinTile, OneBlockRowIsAllOnesAndFinestRowHasOnlyTheOneBlockColumn) {
+  // Row 0 is the one-block partition (RGS 00...0): every join is coarsest.
+  // The last row is the finest (RGS 01...n-1): σ ∨ π = π, so only column 0,
+  // the one-block partition, is 1.
+  for (std::size_t n = 1; n <= 9; ++n) {
+    const std::size_t bell = bell_number_u64(n);
+    const JoinTile first = generate_join_tile(n, 0, 1, 1);
+    EXPECT_EQ(first.ones, bell) << "n=" << n;
+    const JoinTile last = generate_join_tile(n, bell - 1, bell, 1);
+    EXPECT_EQ(last.ones, 1u) << "n=" << n;
+    EXPECT_TRUE(last.get(0, 0)) << "n=" << n;
+  }
+}
+
+TEST(JoinTile, MatchesTheLatticeJoinAtEveryThreadCount) {
+  // Windows of 3 and 5 rows give tiles with fewer rows than threads; 100
+  // rows split into ragged interleaved chunks.
+  const JoinOracle m7(7);
+  const JoinOracle m9(9);
+  for (const unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+    m7.expect_tile(0, 3, threads);
+    m7.expect_tile(777, 877, threads);
+    m9.expect_tile(21142, 21147, threads);
+  }
+}
+
 TEST(JoinTile, ThreadCountDoesNotChangeBits) {
   const JoinTile one = generate_join_tile(7, 100, 612, 1);
-  for (unsigned threads : {2u, 3u, 8u}) {
+  for (unsigned threads : {2u, 3u, 4u, 8u}) {
     const JoinTile t = generate_join_tile(7, 100, 612, threads);
     EXPECT_EQ(t.bits, one.bits);
     EXPECT_EQ(t.digest, one.digest);
