@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -219,14 +218,6 @@ namespace {
 // streams row ranges through one chunk buffer; the memory store backs
 // directory-less runs (tests, small n).
 
-// Sizes a chunk buffer for `bytes` of rows that the caller then copies in.
-// Only the padding of the last word is cleared: zero-filling the whole
-// chunk first would be a second serial pass over it.
-void size_chunk(std::vector<std::uint64_t>& out, std::size_t bytes) {
-  out.resize((bytes + 7) / 8);
-  if (bytes % 8 != 0) out.back() = 0;
-}
-
 class PivotStore {
  public:
   virtual ~PivotStore() = default;
@@ -260,7 +251,7 @@ class MemoryPivotStore final : public PivotStore {
                  std::size_t row_bytes, std::vector<std::uint64_t>& out) override {
     const std::string& seg = segments_[ordinal];
     const std::size_t bytes = (row_end - row_begin) * row_bytes;
-    size_chunk(out, bytes);
+    out.assign((bytes + 7) / 8, 0);
     std::memcpy(out.data(), seg.data() + row_begin * row_bytes, bytes);
   }
 
@@ -304,7 +295,7 @@ class DiskPivotStore final : public PivotStore {
     if (!in) throw CheckpointError("tiled rank: cannot open segment " + path);
     const std::size_t bytes = (row_end - row_begin) * row_bytes;
     in.seekg(static_cast<std::streamoff>(row_begin * row_bytes));
-    size_chunk(out, bytes);
+    out.assign((bytes + 7) / 8, 0);
     in.read(reinterpret_cast<char*>(out.data()), static_cast<std::streamsize>(bytes));
     if (static_cast<std::size_t>(in.gcount()) != bytes) {
       throw CheckpointError("tiled rank: short read from segment " + path);
@@ -425,9 +416,8 @@ void gf2_reduce_rows(std::uint64_t* work, std::size_t rows, std::size_t words,
 // 8 products below 2^60 plus carries stay below 2^63, so one % p per entry
 // per batch. The sweep visits only the batch's support — the columns where
 // some q_j is nonzero — since every other column has acc == 0 and stays as
-// it is; M_8's pivot rows are about 1% nonzero. A batch's support is found
-// once, by the first row of any worker that needs it, and shared as a
-// bitmask (a column list is faster to sweep but holds more memory). One
+// it is; M_8's pivot rows are about 1% nonzero. Each worker finds a
+// batch's support once, at the first of its rows that needs it. One
 // fan-out per call: each worker walks every batch over its own rows, so
 // each row sees the same arithmetic in the same order at any thread count.
 // The rows are dealt in interleaved chunks of kReduceRowChunk, because how
@@ -436,17 +426,12 @@ void gf2_reduce_rows(std::uint64_t* work, std::size_t rows, std::size_t words,
 // rows == 1 runs inline.
 constexpr std::size_t kReduceRowChunk = 8;
 
-struct BatchSupport {
-  std::once_flag found;
-  std::vector<std::uint64_t> cols;  // bit x: some pivot of the batch is nonzero at x
-};
-
 void modp_reduce_rows(std::uint32_t* work, std::size_t rows, std::size_t cols, std::uint64_t p,
                       const std::uint32_t* pivots, const std::uint64_t* pivot_cols,
                       std::size_t count, unsigned threads) {
   if (count == 0) return;
-  std::vector<BatchSupport> supports((count + kBatch - 1) / kBatch);
   parallel_for_interleaved(rows, kReduceRowChunk, threads, [&](const InterleavedShare& share) {
+    std::vector<std::uint32_t> support;  // empty until a row of this batch needs it
     for (std::size_t b = 0; b < count; b += kBatch) {
       const std::size_t s = std::min(kBatch, count - b);
       const std::uint32_t* q[kBatch];
@@ -455,7 +440,7 @@ void modp_reduce_rows(std::uint32_t* work, std::size_t rows, std::size_t cols, s
         q[j] = pivots + (b + j) * cols;
         c[j] = pivot_cols[b + j];
       }
-      BatchSupport& support = supports[b / kBatch];
+      support.clear();
       share.for_each_chunk([&](std::size_t begin, std::size_t end) {
         for (std::size_t r = begin; r < end; ++r) {
           std::uint32_t* row = work + r * cols;
@@ -470,24 +455,20 @@ void modp_reduce_rows(std::uint32_t* work, std::size_t rows, std::size_t cols, s
             any = any || f[j] != 0;
           }
           if (!any) continue;
-          std::call_once(support.found, [&] {
-            support.cols.assign((cols + 63) / 64, 0);
+          if (support.empty()) {
             for (std::size_t x = 0; x < cols; ++x) {
               std::uint32_t nz = 0;
               for (std::size_t j = 0; j < s; ++j) nz |= q[j][x];
-              if (nz != 0) support.cols[x / 64] |= 1ULL << (x % 64);
+              if (nz != 0) support.push_back(static_cast<std::uint32_t>(x));
             }
-          });
-          for (std::size_t w = 0; w < support.cols.size(); ++w) {
-            for (std::uint64_t bits = support.cols[w]; bits != 0; bits &= bits - 1) {
-              const std::size_t x = w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
-              std::uint64_t acc = 0;
-              for (std::size_t j = 0; j < s; ++j) acc += f[j] * q[j][x];
-              if (acc == 0) continue;
-              const std::uint64_t sub = acc % p;
-              const std::uint64_t v = row[x];
-              row[x] = static_cast<std::uint32_t>(v >= sub ? v - sub : v + p - sub);
-            }
+          }
+          for (const std::uint32_t x : support) {
+            std::uint64_t acc = 0;
+            for (std::size_t j = 0; j < s; ++j) acc += f[j] * q[j][x];
+            if (acc == 0) continue;
+            const std::uint64_t sub = acc % p;
+            const std::uint64_t v = row[x];
+            row[x] = static_cast<std::uint32_t>(v >= sub ? v - sub : v + p - sub);
           }
         }
       });
